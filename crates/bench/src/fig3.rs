@@ -1,8 +1,6 @@
 //! Figure 3: area penalty of the two-stage approach \[4\] over the heuristic,
 //! as a function of the number of operations and the latency constraint.
 
-use serde::{Deserialize, Serialize};
-
 use mwl_baselines::TwoStageAllocator;
 use mwl_core::{AllocConfig, DpAllocator};
 use mwl_model::SonicCostModel;
@@ -11,7 +9,7 @@ use mwl_tgff::{TgffConfig, TgffGenerator};
 use crate::sweep::{lambda_min, relax_constraint, SweepConfig};
 
 /// Parameters of the Figure 3 sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig3Config {
     /// Problem sizes |O| to sweep (the paper uses 1..=24).
     pub sizes: Vec<usize>,
@@ -44,7 +42,7 @@ impl Fig3Config {
 }
 
 /// One cell of the Figure 3 surface.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Fig3Cell {
     /// Number of operations |O|.
     pub ops: usize,
@@ -58,7 +56,7 @@ pub struct Fig3Cell {
 }
 
 /// The full Figure 3 surface.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig3Results {
     /// One cell per (size, relaxation) pair, in row-major order.
     pub cells: Vec<Fig3Cell>,

@@ -1,7 +1,5 @@
 //! Figure 4: area premium of the heuristic over the ILP optimum \[5\].
 
-use serde::{Deserialize, Serialize};
-
 use mwl_core::{AllocConfig, DpAllocator};
 use mwl_model::SonicCostModel;
 use mwl_optimal::IlpAllocator;
@@ -10,7 +8,7 @@ use mwl_tgff::{TgffConfig, TgffGenerator};
 use crate::sweep::{lambda_min, SweepConfig};
 
 /// Parameters of the Figure 4 sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig4Config {
     /// Problem sizes |O| to sweep (the paper shows roughly 1..=10; larger
     /// sizes make the ILP intractable, which is the paper's point).
@@ -40,7 +38,7 @@ impl Fig4Config {
 }
 
 /// One point of the Figure 4 series.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Fig4Row {
     /// Number of operations |O|.
     pub ops: usize,
@@ -56,7 +54,7 @@ pub struct Fig4Row {
 }
 
 /// The full Figure 4 series.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig4Results {
     /// One row per problem size.
     pub rows: Vec<Fig4Row>,

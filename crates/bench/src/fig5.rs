@@ -3,8 +3,6 @@
 
 use std::time::{Duration, Instant};
 
-use serde::{Deserialize, Serialize};
-
 use mwl_core::{AllocConfig, DpAllocator};
 use mwl_model::SonicCostModel;
 use mwl_optimal::IlpAllocator;
@@ -13,7 +11,7 @@ use mwl_tgff::{TgffConfig, TgffGenerator};
 use crate::sweep::{lambda_min, SweepConfig};
 
 /// Parameters of the Figure 5 sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig5Config {
     /// Problem sizes |O| to sweep.
     pub sizes: Vec<usize>,
@@ -47,7 +45,7 @@ impl Fig5Config {
 }
 
 /// One point of the Figure 5 series.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Fig5Row {
     /// Number of operations |O|.
     pub ops: usize,
@@ -63,7 +61,7 @@ pub struct Fig5Row {
 }
 
 /// The full Figure 5 series.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig5Results {
     /// One row per problem size.
     pub rows: Vec<Fig5Row>,

@@ -2,14 +2,12 @@
 
 use std::time::Duration;
 
-use serde::{Deserialize, Serialize};
-
 use mwl_model::{CostModel, Cycles, SequencingGraph};
 use mwl_sched::{critical_path_length, OpLatencies};
 
 /// How many random graphs to evaluate per data point and how hard to let the
 /// exact solver work.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SweepConfig {
     /// Random graphs per data point (the paper uses 200).
     pub graphs_per_point: usize,

@@ -3,8 +3,6 @@
 
 use std::time::{Duration, Instant};
 
-use serde::{Deserialize, Serialize};
-
 use mwl_core::{AllocConfig, DpAllocator};
 use mwl_model::SonicCostModel;
 use mwl_optimal::IlpAllocator;
@@ -13,7 +11,7 @@ use mwl_tgff::{TgffConfig, TgffGenerator};
 use crate::sweep::{lambda_min, SweepConfig};
 
 /// Parameters of the Table 2 sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table2Config {
     /// Number of operations per graph (the paper uses 9).
     pub ops: usize,
@@ -51,7 +49,7 @@ impl Table2Config {
 }
 
 /// One row of Table 2.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Table2Row {
     /// Latency relaxation in percent of `λ_min`.
     pub relaxation_percent: u32,
@@ -67,7 +65,7 @@ pub struct Table2Row {
 }
 
 /// The full Table 2.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table2Results {
     /// One row per latency relaxation.
     pub rows: Vec<Table2Row>,

@@ -3,8 +3,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use mwl_model::{Area, AreaBreakdown, CostModel, Cycles, OpId, ResourceType, SequencingGraph};
 use mwl_sched::{OpLatencies, Schedule};
 
@@ -16,7 +14,7 @@ use crate::storage::{self, RegisterBinding};
 /// The instance's [`ResourceType`] *is* the wordlength selection of the
 /// operations bound to it: an 8×8-bit multiplication bound to a 16×16-bit
 /// multiplier instance is implemented at 16×16 bits (and pays that latency).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ResourceInstance {
     resource: ResourceType,
     ops: Vec<OpId>,
@@ -58,7 +56,7 @@ impl fmt::Display for ResourceInstance {
 
 /// A complete solution of the combined scheduling, resource-binding and
 /// wordlength-selection problem.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Datapath {
     schedule: Schedule,
     instances: Vec<ResourceInstance>,
@@ -278,7 +276,7 @@ impl Datapath {
 /// Produced by [`Datapath::value_lifetimes`]; consumed by the netlist
 /// lowering in `mwl_rtl` to place result registers and to share them between
 /// values with disjoint lifetimes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ValueLifetime {
     /// First step at which the value is available: the producing operation's
     /// completion step (`start + bound latency`).  The value is written to

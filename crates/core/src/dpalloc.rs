@@ -10,8 +10,6 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::bind::{bind_select_with_scratch, materialize_instances, BindSelectOptions};
 use crate::datapath::Datapath;
 use crate::error::AllocError;
@@ -24,10 +22,11 @@ use mwl_sched::{
     critical_path_length, scheduling_set_with_scratch, ListScheduler, OpLatencies, SchedError,
     SchedulePriority,
 };
+use mwl_wcg::WordlengthCompatibilityGraph;
 
 /// How the allocator chooses the operation whose wordlength information is
 /// refined when the latency constraint is violated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RefinementPolicy {
     /// The paper's rule: pick from the bound critical path the candidate that
     /// loses the smallest proportion of wordlength edges.
@@ -230,7 +229,7 @@ impl<'a> DpAllocator<'a> {
         scratch.wcg.rebuild(graph, self.cost);
         scratch.wcg.snapshot_pristine();
         for op in graph.op_ids() {
-            if scratch.wcg.candidate_slice(op).is_empty() {
+            if scratch.wcg.candidates(op).next().is_none() {
                 return Err(AllocError::UncoverableOperation(op));
             }
         }
@@ -328,9 +327,9 @@ impl<'a> DpAllocator<'a> {
     ///
     /// The loop is engineered around the scratch workspace so that its
     /// steady state performs no allocation work proportional to the
-    /// iteration count: upper bounds and per-resource cover rows are read
-    /// straight from the compatibility graph's incrementally-maintained
-    /// tables, the scheduling-set membership rows are rewritten in place —
+    /// iteration count: upper bounds and per-resource cover columns are
+    /// read straight from the compatibility graph's cached bounds and bit
+    /// planes, the scheduling-set membership rows are rewritten in place —
     /// and only for the one operation whose edges the previous refinement
     /// deleted, when the scheduling set itself is unchanged — and the
     /// Eqn (3) constraint and list scheduler reuse their buffers across
@@ -361,11 +360,11 @@ impl<'a> DpAllocator<'a> {
                 .copy_from_slice(scratch.wcg.upper_bound_slice());
 
             // Scheduling set S and the Eqn (3) constraint.  The cover is
-            // recomputed from the maintained per-resource rows; membership
+            // recomputed from the graph's per-resource columns; membership
             // rows are rebuilt only where refinement invalidated them.
             scheduling_set_with_scratch(
                 graph.len(),
-                scratch.wcg.resource_op_lists(),
+                scratch.wcg.resource_columns(),
                 &mut scratch.cover_scratch,
                 &mut scratch.cover,
             );
@@ -377,18 +376,16 @@ impl<'a> DpAllocator<'a> {
                         .map(|&r| scratch.wcg.resource(r).class()),
                 );
                 for op in graph.op_ids() {
-                    scratch.constraint.set_row(
-                        op,
-                        member_positions(scratch.wcg.candidate_slice(op), &scratch.cover),
-                    );
+                    scratch
+                        .constraint
+                        .set_row(op, member_positions(&scratch.wcg, op, &scratch.cover));
                 }
                 scratch.prev_cover.clone_from(&scratch.cover);
                 members_valid = true;
             } else if let Some(op) = last_refined {
-                scratch.constraint.set_row(
-                    op,
-                    member_positions(scratch.wcg.candidate_slice(op), &scratch.cover),
-                );
+                scratch
+                    .constraint
+                    .set_row(op, member_positions(&scratch.wcg, op, &scratch.cover));
             }
             scratch.constraint.reset_loads();
 
@@ -479,20 +476,18 @@ impl<'a> DpAllocator<'a> {
     }
 }
 
-/// Positions `j` within the scheduling set `cover` whose resource is among
-/// the operation's compatible `candidates` — the membership row `S(o)`.
-/// Both inputs are ascending, so a single merge pass suffices.
+/// Positions `j` within the scheduling set `cover` whose resource has an
+/// `H` edge to `op` — the membership row `S(o)`, ascending.
 fn member_positions<'a>(
-    candidates: &'a [usize],
+    wcg: &'a WordlengthCompatibilityGraph,
+    op: OpId,
     cover: &'a [usize],
 ) -> impl Iterator<Item = usize> + 'a {
-    let mut next_candidate = 0usize;
-    cover.iter().enumerate().filter_map(move |(j, &resource)| {
-        while next_candidate < candidates.len() && candidates[next_candidate] < resource {
-            next_candidate += 1;
-        }
-        (next_candidate < candidates.len() && candidates[next_candidate] == resource).then_some(j)
-    })
+    cover
+        .iter()
+        .enumerate()
+        .filter(move |&(_, &resource)| wcg.has_edge(op, resource))
+        .map(|(j, _)| j)
 }
 
 /// The eligible class with the largest total workload per allowed resource —

@@ -259,11 +259,42 @@ fn minimum_cover(num_items: usize, candidates: &[Vec<usize>]) -> Vec<usize> {
         return Vec::new();
     }
 
-    if items.len() <= EXACT_COVER_ITEM_LIMIT && candidates.len() <= EXACT_COVER_CANDIDATE_LIMIT {
+    if items.len() > EXACT_COVER_ITEM_LIMIT {
+        // More items than a `u64` mask holds.
+        return greedy_cover_lists(&items, candidates);
+    }
+    if candidates.len() <= EXACT_COVER_CANDIDATE_LIMIT {
         exact_cover(&items, candidates)
     } else {
         greedy_cover(&items, candidates)
     }
+}
+
+/// The rule of [`greedy_cover`] — most newly covered items wins, ties go to
+/// the highest index — over item lists, for instances with more than 64
+/// items.
+fn greedy_cover_lists(items: &[usize], candidates: &[Vec<usize>]) -> Vec<usize> {
+    fn gain(set: &[usize], uncovered: &BTreeSet<usize>) -> usize {
+        set.iter().filter(|item| uncovered.contains(item)).count()
+    }
+    let mut uncovered: BTreeSet<usize> = items.iter().copied().collect();
+    let mut chosen = Vec::new();
+    while !uncovered.is_empty() {
+        let best = (0..candidates.len())
+            .filter(|j| !chosen.contains(j))
+            .max_by_key(|&j| gain(&candidates[j], &uncovered));
+        match best {
+            Some(j) if gain(&candidates[j], &uncovered) > 0 => {
+                for item in &candidates[j] {
+                    uncovered.remove(item);
+                }
+                chosen.push(j);
+            }
+            _ => break,
+        }
+    }
+    chosen.sort_unstable();
+    chosen
 }
 
 fn scheduling_set(op_candidates: &[Vec<usize>]) -> Vec<usize> {

@@ -30,6 +30,8 @@ pub(crate) struct RefineScratch {
     alap_end: Vec<Cycles>,
     critical: Vec<OpId>,
     candidates: Vec<OpId>,
+    /// Deletion proportion per entry of `candidates`.
+    proportions: Vec<f64>,
 }
 
 /// Computes the bound critical path `Q_b`.
@@ -235,19 +237,26 @@ pub(crate) fn select_refinement_op_with_scratch(
 
     // Choose the candidate losing the smallest proportion of edges in
     // {{o1, r} ∈ H : ∃{o, r} ∈ H}; tie-break toward operations currently
-    // bound to a resource faster than their upper bound, then by id.
-    candidates.iter().copied().min_by(|&a, &b| {
-        let pa = deletion_proportion(wcg, a);
-        let pb = deletion_proportion(wcg, b);
-        pa.partial_cmp(&pb)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then_with(|| {
-                let fa = bound_latencies.get(a) < upper_bounds.get(a);
-                let fb = bound_latencies.get(b) < upper_bounds.get(b);
-                fb.cmp(&fa) // prefer "already bound faster" (true first)
-            })
-            .then(a.cmp(&b))
-    })
+    // bound to a resource faster than their upper bound, then by id.  Each
+    // candidate's proportion is computed once.
+    let proportions = &mut scratch.proportions;
+    proportions.clear();
+    proportions.extend(candidates.iter().map(|&o| deletion_proportion(wcg, o)));
+    candidates
+        .iter()
+        .copied()
+        .zip(proportions.iter().copied())
+        .min_by(|&(a, pa), &(b, pb)| {
+            pa.partial_cmp(&pb)
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then_with(|| {
+                    let fa = bound_latencies.get(a) < upper_bounds.get(a);
+                    let fb = bound_latencies.get(b) < upper_bounds.get(b);
+                    fb.cmp(&fa) // prefer "already bound faster" (true first)
+                })
+                .then(a.cmp(&b))
+        })
+        .map(|(op, _)| op)
 }
 
 /// Proportion of wordlength edges incident to resources compatible with `op`
@@ -260,13 +269,14 @@ pub(crate) fn select_refinement_op_with_scratch(
 /// current latency upper bound).
 fn deletion_proportion(wcg: &WordlengthCompatibilityGraph, op: OpId) -> f64 {
     let bound = wcg.upper_bound_latency(op);
-    let resources = wcg.candidate_slice(op);
-    let pool: usize = resources.iter().map(|&r| wcg.resource_edge_count(r)).sum();
-    let deleted: usize = resources
-        .iter()
-        .filter(|&&r| wcg.resource_latency(r) == bound)
-        .map(|&r| wcg.resource_edge_count(r))
-        .sum();
+    let (mut pool, mut deleted) = (0usize, 0usize);
+    for r in wcg.candidates(op) {
+        let edges = wcg.resource_edge_count(r);
+        pool += edges;
+        if wcg.resource_latency(r) == bound {
+            deleted += edges;
+        }
+    }
     if pool == 0 {
         f64::INFINITY
     } else {

@@ -13,13 +13,9 @@
 
 use proptest::prelude::*;
 
-use mwl_core::{
-    bind_select, reference, AllocConfig, AllocError, AllocOutcome, AllocScratch, BindSelectOptions,
-    DpAllocator,
-};
+use mwl_core::{reference, AllocConfig, AllocError, AllocOutcome, AllocScratch, DpAllocator};
 use mwl_model::{CostModel, SequencingGraph, SonicCostModel};
 use mwl_tgff::{GraphShape, TgffConfig, TgffGenerator, WidthProfile};
-use mwl_wcg::{KernelMode, WordlengthCompatibilityGraph};
 
 /// One allocation problem drawn from the full scenario space.
 #[derive(Debug, Clone)]
@@ -94,41 +90,6 @@ proptest! {
         }
     }
 
-    /// The kernel dispatch is invisible: running the full allocator with the
-    /// scratch pinned to [`KernelMode::Oracle`] (the retained sorted-`Vec`
-    /// kernels) produces the same outcome as the default bitset kernels, and
-    /// both equal the frozen reference.
-    #[test]
-    fn oracle_kernel_mode_is_bit_identical(problem in problem_strategy()) {
-        let cost = SonicCostModel::default();
-        let mut bitset_scratch = AllocScratch::new();
-        let mut oracle_scratch = AllocScratch::new();
-        oracle_scratch.set_kernel_mode(KernelMode::Oracle);
-        let (with_bitset, frozen) = solve_both(&problem, &cost, &mut bitset_scratch);
-        let (with_oracle, _) = solve_both(&problem, &cost, &mut oracle_scratch);
-        prop_assert_eq!(&with_oracle, &with_bitset);
-        prop_assert_eq!(&with_oracle, &frozen);
-    }
-
-    /// Clique growth in isolation: `bind_select` over a scheduled WCG emits
-    /// the identical instance list under both kernel modes.
-    #[test]
-    fn bind_select_is_kernel_mode_invariant(
-        problem in problem_strategy(),
-        grow in any::<bool>(),
-    ) {
-        let cost = SonicCostModel::default();
-        let mut bitset = WordlengthCompatibilityGraph::new(&problem.graph, &cost);
-        let mut oracle = WordlengthCompatibilityGraph::new(&problem.graph, &cost);
-        oracle.set_kernel_mode(KernelMode::Oracle);
-        let upper = bitset.upper_bound_latencies();
-        let schedule = mwl_sched::asap(&problem.graph, &upper);
-        bitset.attach_schedule(&schedule, &upper);
-        oracle.attach_schedule(&schedule, &upper);
-        let options = BindSelectOptions { grow_cliques: grow };
-        prop_assert_eq!(bind_select(&bitset, options), bind_select(&oracle, options));
-    }
-
     /// Scratch reuse across a whole job sequence changes nothing: solving
     /// every problem with one warm scratch equals solving each with a fresh
     /// scratch, and both equal the frozen reference.
@@ -169,5 +130,37 @@ fn errors_are_identical_too() {
             let frozen = reference::allocate_with_stats(&cost, &config, &graph);
             assert_eq!(optimized, frozen);
         }
+    }
+}
+
+/// Graphs past one 64-bit word of operations take the multi-word paths:
+/// the column-plane greedy scheduling-set cover (more than 64 coverable
+/// items) and multi-word chain and clique masks.  Kept small enough to run
+/// the frozen reference in a debug build.
+#[test]
+fn graphs_past_64_ops_are_identical_too() {
+    let cost = SonicCostModel::default();
+    let mut scratch = AllocScratch::new();
+    for (ops, shape, seed, slack, merging) in [
+        (66, GraphShape::Layered, 0, 30, false),
+        (66, GraphShape::Deep, 0, 30, true),
+        (66, GraphShape::Diamond, 0, 30, false),
+        (66, GraphShape::Diamond, 2, 30, true),
+        (96, GraphShape::Wide, 0, 100, true),
+    ] {
+        let config = TgffConfig::with_ops(ops).shape(shape);
+        let problem = Problem {
+            graph: TgffGenerator::new(config, seed).generate(),
+            lambda_slack: slack,
+            merging,
+        };
+        assert!(problem.graph.len() > 64);
+        let (optimized, frozen) = solve_both(&problem, &cost, &mut scratch);
+        assert_eq!(optimized, frozen, "{ops} ops, {shape:?}, seed {seed}");
+        optimized
+            .expect("the allocator solves every generated graph")
+            .datapath
+            .validate(&problem.graph, &cost)
+            .unwrap();
     }
 }

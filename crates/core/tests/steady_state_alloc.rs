@@ -138,7 +138,7 @@ fn warm_scratch_allocation_count_is_flat_and_kernels_are_allocation_free() {
     dense.reset_problem(&op_classes, bounds);
     dense.set_members(wcg.resources().iter().map(|r| r.class()));
     for op in graph.op_ids() {
-        dense.set_row(op, wcg.candidate_slice(op).iter().copied());
+        dense.set_row(op, wcg.candidates(op));
     }
     dense.reset_loads();
     let (delta, _) = allocations_during(|| {

@@ -1,7 +1,5 @@
 //! Batch job descriptions: a graph, a latency budget and allocator options.
 
-use serde::{Deserialize, Serialize};
-
 use mwl_core::{AllocConfig, PortfolioSpec};
 use mwl_model::{CostModel, Cycles, SequencingGraph};
 use mwl_obs::ObsMode;
@@ -14,7 +12,7 @@ use mwl_sched::{critical_path_length, OpLatencies};
 /// Relative specs are resolved per graph when the batch runs, so one spec
 /// can be applied uniformly across a whole scenario family of differently
 /// sized graphs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LatencySpec {
     /// A fixed number of control steps.  May be infeasible for a given
     /// graph, in which case the job fails with
@@ -120,7 +118,7 @@ impl BatchJob {
 }
 
 /// How a batch is executed.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BatchOptions {
     /// Number of worker threads.  Clamped to `1..=jobs.len()` when the batch
     /// runs; the *results* are guaranteed identical for every value.

@@ -181,9 +181,8 @@ impl BatchReport {
         self.outcomes.iter().filter(|o| o.result.is_err()).collect()
     }
 
-    /// Renders the report as a compact JSON document (no external
-    /// serialisation dependency; see the crate docs of the vendored `serde`
-    /// stand-in for why).
+    /// Renders the report as a compact JSON document (hand-written: the
+    /// workspace has no serialisation dependency).
     #[must_use]
     pub fn to_json(&self) -> String {
         let s = self.summary();

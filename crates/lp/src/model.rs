@@ -4,14 +4,12 @@
 //! `mwl_optimal`'s ILP formulation (the paper's reference \[5\] baseline,
 //! solved there with `lp_solve`) is expressed through this API.
 
-use serde::{Deserialize, Serialize};
-
 use crate::branch_bound::{solve_mip, BranchBoundOptions, MipSolution};
 use crate::error::LpError;
 use crate::simplex::solve_simplex;
 
 /// Optimisation direction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Sense {
     /// Minimise the objective.
     Minimize,
@@ -20,7 +18,7 @@ pub enum Sense {
 }
 
 /// Kind of a decision variable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum VarKind {
     /// Real-valued variable.
     Continuous,
@@ -30,7 +28,7 @@ pub enum VarKind {
 }
 
 /// Identifier of a decision variable within one [`LpProblem`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct VarId(pub(crate) usize);
 
 impl VarId {
@@ -42,7 +40,7 @@ impl VarId {
 }
 
 /// Direction of a linear constraint.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ConstraintOp {
     /// `terms ≤ rhs`
     Le,
@@ -53,7 +51,7 @@ pub enum ConstraintOp {
 }
 
 /// A linear constraint `Σ coeff·var  op  rhs`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Constraint {
     /// The linear terms of the left-hand side.
     pub terms: Vec<(VarId, f64)>,
@@ -63,7 +61,7 @@ pub struct Constraint {
     pub rhs: f64,
 }
 
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct VarDef {
     pub kind: VarKind,
     pub objective: f64,
@@ -72,7 +70,7 @@ pub(crate) struct VarDef {
 }
 
 /// The solution of an LP relaxation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LpSolution {
     /// Objective value in the problem's own sense.
     pub objective: f64,
@@ -83,7 +81,7 @@ pub struct LpSolution {
 /// A linear/integer program under construction.
 ///
 /// See the [crate-level documentation](crate) for a complete example.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LpProblem {
     sense: Sense,
     pub(crate) vars: Vec<VarDef>,

@@ -8,15 +8,13 @@
 use std::collections::BTreeSet;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::ModelError;
 use crate::op::{OpId, OpShape, Operation};
 use crate::resource::{extract_resource_types, ResourceType};
 
 /// A directed data-dependence edge `from -> to`: `to` may only start after
 /// `from` has completed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct DependencyEdge {
     /// Producer operation.
     pub from: OpId,
@@ -31,7 +29,7 @@ pub struct DependencyEdge {
 /// insertion order and identified by dense [`OpId`]s, so per-operation data
 /// elsewhere in the workspace is stored in plain vectors indexed by
 /// [`OpId::index`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SequencingGraph {
     ops: Vec<Operation>,
     edges: Vec<DependencyEdge>,

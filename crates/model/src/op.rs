@@ -8,8 +8,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::ModelError;
 
 /// Largest supported wordlength in bits.
@@ -24,9 +22,7 @@ pub const MAX_WORDLENGTH: u32 = 1024;
 /// Identifiers are dense indices assigned in insertion order by
 /// [`crate::SequencingGraphBuilder::add_operation`], which makes them directly
 /// usable as `Vec` indices throughout the workspace.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct OpId(u32);
 
 impl OpId {
@@ -60,7 +56,7 @@ impl From<OpId> for usize {
 /// Operations of the same kind compete for the same class of resources:
 /// additions and subtractions are executed by adders, multiplications by
 /// multipliers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum OpKind {
     /// Two's-complement addition.
     Add,
@@ -97,7 +93,7 @@ impl fmt::Display for OpKind {
 /// * An additive operation is characterised by a single output wordlength.
 /// * A multiplication is characterised by the wordlengths of its two operands
 ///   (an `n×m` multiplier in the paper's notation).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum OpShape {
     /// Additive operation of the given width in bits.
     Additive {
@@ -225,7 +221,7 @@ impl fmt::Display for OpShape {
 }
 
 /// A single operation of the sequencing graph.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Operation {
     id: OpId,
     shape: OpShape,

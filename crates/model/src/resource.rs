@@ -8,15 +8,13 @@
 use std::collections::BTreeSet;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::op::{OpKind, OpShape, Operation};
 
 /// The class of a functional unit.
 ///
 /// Every operation kind maps to exactly one resource class
 /// ([`ResourceClass::for_kind`]); additions and subtractions share adders.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ResourceClass {
     /// Ripple-carry style adder/subtractor unit.
     Adder,
@@ -73,7 +71,7 @@ impl fmt::Display for ResourceClass {
 /// wordlengths it covers, even when the operation is smaller than the
 /// resource; this is precisely the flexibility exploited by the paper's
 /// combined binding and wordlength selection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ResourceType {
     class: ResourceClass,
     /// Primary (larger) operand width in bits.

@@ -6,8 +6,11 @@
 //! instance; it is solved exactly by branch and bound for the problem sizes
 //! of the evaluation (≤ a few dozen operations) and by the classic greedy
 //! heuristic beyond that.
-
-use mwl_model::OpId;
+//!
+//! Every entry point reduces to one core over a *column plane*: candidate
+//! `j` is a bitset of the items it covers, `ceil(num_items / 64)` words
+//! starting at word `j * stride` — the layout of the wordlength
+//! compatibility graph's per-resource `H` columns.
 
 /// Upper bound on the number of items for which the exact branch-and-bound
 /// cover is attempted; larger instances fall back to the greedy heuristic.
@@ -20,9 +23,10 @@ const EXACT_COVER_CANDIDATE_LIMIT: usize = 28;
 /// items `0..num_items`.
 ///
 /// `candidates[j]` lists the items covered by candidate `j`.  Items that no
-/// candidate covers are ignored (they cannot be covered by any selection).
-/// The result is a sorted list of selected candidate indices; it is exact
-/// (minimum cardinality) when the instance is small enough and a greedy
+/// candidate covers are ignored (they cannot be covered by any selection),
+/// and so are trailing candidates that cover nothing.  The result is a
+/// sorted list of selected candidate indices; it is exact (minimum
+/// cardinality) when the instance is small enough and a greedy
 /// approximation otherwise.
 ///
 /// # Examples
@@ -35,71 +39,16 @@ const EXACT_COVER_CANDIDATE_LIMIT: usize = 28;
 /// ```
 #[must_use]
 pub fn minimum_cover(num_items: usize, candidates: &[Vec<usize>]) -> Vec<usize> {
-    if num_items == 0 || candidates.is_empty() {
-        return Vec::new();
-    }
-    // Restrict attention to coverable items.
-    let mut coverable = vec![false; num_items];
-    for set in candidates {
-        for &item in set {
-            if item < num_items {
-                coverable[item] = true;
-            }
+    let stride = num_items.div_ceil(64);
+    let mut columns = vec![0u64; candidates.len() * stride];
+    for (j, set) in candidates.iter().enumerate() {
+        for &item in set.iter().filter(|&&item| item < num_items) {
+            columns[j * stride + item / 64] |= 1 << (item % 64);
         }
     }
-    let items: Vec<usize> = (0..num_items).filter(|&i| coverable[i]).collect();
-    if items.is_empty() {
-        return Vec::new();
-    }
-
-    if items.len() > EXACT_COVER_ITEM_LIMIT {
-        // Too many items for 64-bit masks: mask-free greedy.
-        return greedy_cover_large(num_items, &items, candidates);
-    }
-    let (full, masks) = item_masks(&items, num_items, candidates);
-    if candidates.len() <= EXACT_COVER_CANDIDATE_LIMIT {
-        exact_cover(full, &masks)
-    } else {
-        greedy_cover(full, &masks)
-    }
-}
-
-/// The classic greedy set-cover heuristic for instances with more items
-/// than a 64-bit mask can hold: identical selection rule to
-/// [`greedy_cover`] (most newly-covered items wins, ties to the
-/// highest-indexed candidate), without the bitset.
-fn greedy_cover_large(num_items: usize, items: &[usize], candidates: &[Vec<usize>]) -> Vec<usize> {
-    let mut covered = vec![false; num_items];
-    let mut relevant = vec![false; num_items];
-    for &item in items {
-        relevant[item] = true;
-    }
-    let new_coverage = |set: &Vec<usize>, covered: &[bool]| {
-        set.iter()
-            .filter(|&&item| item < num_items && relevant[item] && !covered[item])
-            .count()
-    };
-    let mut remaining = items.len();
-    let mut chosen: Vec<usize> = Vec::new();
-    while remaining > 0 {
-        let best = (0..candidates.len())
-            .filter(|j| !chosen.contains(j))
-            .max_by_key(|&j| new_coverage(&candidates[j], &covered));
-        match best {
-            Some(j) if new_coverage(&candidates[j], &covered) > 0 => {
-                for &item in &candidates[j] {
-                    if item < num_items && relevant[item] && !covered[item] {
-                        covered[item] = true;
-                        remaining -= 1;
-                    }
-                }
-                chosen.push(j);
-            }
-            _ => break,
-        }
-    }
-    chosen.sort_unstable();
-    chosen
+    let mut out = Vec::new();
+    scheduling_set_with_scratch(num_items, &columns, &mut CoverScratch::default(), &mut out);
+    out
 }
 
 /// Computes the scheduling set from per-operation candidate lists:
@@ -129,91 +78,86 @@ pub fn scheduling_set(op_candidates: &[Vec<usize>]) -> Vec<usize> {
     minimum_cover(op_candidates.len(), &covers)
 }
 
-/// As [`scheduling_set`], but reads the per-resource operation lists
-/// directly (the rows a [`WordlengthCompatibilityGraph`] maintains
-/// incrementally) and writes the selected resource indices into a reusable
-/// buffer — the allocation-light form used by the allocator's inner loop.
-/// The selection is identical to
-/// `scheduling_set(&per-op candidate lists)` on the transposed input.
-///
-/// [`WordlengthCompatibilityGraph`]: https://docs.rs/mwl_wcg
-pub fn scheduling_set_into(num_ops: usize, covers: &[Vec<OpId>], out: &mut Vec<usize>) {
-    scheduling_set_with_scratch(num_ops, covers, &mut CoverScratch::default(), out);
-}
-
 /// Reusable buffers for [`scheduling_set_with_scratch`].
 #[derive(Debug, Default)]
 pub struct CoverScratch {
-    coverable: Vec<bool>,
-    bit: Vec<u32>,
+    coverable: Vec<u64>,
+    covered: Vec<u64>,
     masks: Vec<u64>,
 }
 
-/// As [`scheduling_set_into`], reusing the caller's buffers — the form the
-/// allocator's inner loop runs once per refinement iteration.
+/// The cover core: selects a minimum-cardinality set of columns covering
+/// every coverable item and writes the selected column indices, sorted,
+/// into `out`.
+///
+/// `columns` is a column plane over `num_items` items (stride
+/// `ceil(num_items / 64)`; see the module docs) — for the scheduling set,
+/// the wordlength compatibility graph's per-resource operation columns.
+/// Only columns up to the last non-empty one count as candidates, so
+/// resources whose every edge was refined away never push an instance past
+/// the exact-search limit.  Up to 64 coverable items the columns are
+/// compacted to one word each and covered exactly (at most 28 candidates)
+/// or greedily; beyond that the greedy rule runs on the columns directly.
+/// The buffers are reused, so the allocator's inner loop runs this once per
+/// refinement iteration without growing.
 pub fn scheduling_set_with_scratch(
-    num_ops: usize,
-    covers: &[Vec<OpId>],
+    num_items: usize,
+    columns: &[u64],
     scratch: &mut CoverScratch,
     out: &mut Vec<usize>,
 ) {
     out.clear();
-    if num_ops == 0 || covers.is_empty() {
+    let stride = num_items.div_ceil(64);
+    if stride == 0 {
         return;
     }
+    let num_columns = columns
+        .chunks_exact(stride)
+        .rposition(|col| col.iter().any(|&w| w != 0))
+        .map_or(0, |last| last + 1);
+    let columns = &columns[..num_columns * stride];
     let CoverScratch {
         coverable,
-        bit,
+        covered,
         masks,
     } = scratch;
     coverable.clear();
-    coverable.resize(num_ops, false);
-    for set in covers {
-        for &op in set {
-            if op.index() < num_ops {
-                coverable[op.index()] = true;
+    coverable.resize(stride, 0);
+    for col in columns.chunks_exact(stride) {
+        for (c, &w) in coverable.iter_mut().zip(col) {
+            *c |= w;
+        }
+    }
+    let num_coverable: usize = coverable.iter().map(|w| w.count_ones() as usize).sum();
+    if num_coverable == 0 {
+        return;
+    }
+    if num_coverable > EXACT_COVER_ITEM_LIMIT {
+        greedy_cover_columns(columns, stride, coverable, covered, out);
+        return;
+    }
+    // Bit position of an item: its rank among the coverable items.
+    masks.clear();
+    masks.extend(columns.chunks_exact(stride).map(|col| {
+        let mut mask = 0u64;
+        let mut base = 0;
+        for (&c, &cov) in col.iter().zip(coverable.iter()) {
+            let mut bits = c;
+            while bits != 0 {
+                let below = (bits & bits.wrapping_neg()) - 1;
+                mask |= 1 << (base + (cov & below).count_ones());
+                bits &= bits - 1;
             }
+            base += cov.count_ones();
         }
-    }
-    // Bit position per op: its rank among the coverable ops, exactly the
-    // position the legacy path assigns in its `items` list.
-    bit.clear();
-    bit.resize(num_ops, u32::MAX);
-    let mut num_items = 0u32;
-    for (i, &c) in coverable.iter().enumerate() {
-        if c {
-            bit[i] = num_items;
-            num_items += 1;
-        }
-    }
-    if num_items == 0 {
-        return;
-    }
-    if num_items as usize > EXACT_COVER_ITEM_LIMIT {
-        // Mirror the legacy path byte for byte on oversized instances.
-        let lists: Vec<Vec<usize>> = covers
-            .iter()
-            .map(|set| set.iter().map(|o| o.index()).collect())
-            .collect();
-        out.extend_from_slice(&minimum_cover(num_ops, &lists));
-        return;
-    }
-    let full: u64 = if num_items == 64 {
+        mask
+    }));
+    let full: u64 = if num_coverable == 64 {
         u64::MAX
     } else {
-        (1u64 << num_items) - 1
+        (1u64 << num_coverable) - 1
     };
-    masks.clear();
-    masks.extend(covers.iter().map(|set| {
-        let mut m = 0u64;
-        for &op in set {
-            if op.index() < num_ops {
-                m |= 1u64 << bit[op.index()];
-            }
-        }
-        m
-    }));
-    let chosen = if covers.len() <= EXACT_COVER_CANDIDATE_LIMIT {
+    let chosen = if num_columns <= EXACT_COVER_CANDIDATE_LIMIT {
         exact_cover(full, masks)
     } else {
         greedy_cover(full, masks)
@@ -221,30 +165,43 @@ pub fn scheduling_set_with_scratch(
     out.extend_from_slice(&chosen);
 }
 
-fn item_masks(items: &[usize], num_items: usize, candidates: &[Vec<usize>]) -> (u64, Vec<u64>) {
-    // Bit position of every item, O(1) per lookup.
-    let mut bit = vec![u32::MAX; num_items];
-    for (pos, &item) in items.iter().enumerate() {
-        bit[item] = pos as u32;
+/// The classic greedy set-cover heuristic for instances with more items
+/// than a 64-bit mask can hold: the selection rule of [`greedy_cover`]
+/// (most newly-covered items wins, ties to the highest-indexed column) run
+/// word by word over the column plane.  Writes the sorted selection into
+/// `chosen`, which must be empty.
+fn greedy_cover_columns(
+    columns: &[u64],
+    stride: usize,
+    coverable: &[u64],
+    covered: &mut Vec<u64>,
+    chosen: &mut Vec<usize>,
+) {
+    covered.clear();
+    covered.resize(stride, 0);
+    while covered.as_slice() != coverable {
+        // An uncovered coverable item lies in some column not chosen yet,
+        // so the winner covers at least one new item; chosen columns cover
+        // none and can never win.
+        let (best, _) = columns
+            .chunks_exact(stride)
+            .enumerate()
+            .map(|(j, col)| {
+                let new: u32 = col
+                    .iter()
+                    .zip(covered.iter())
+                    .map(|(&c, &v)| (c & !v).count_ones())
+                    .sum();
+                (j, new)
+            })
+            .max_by_key(|&(_, new)| new)
+            .expect("an uncovered item has a column");
+        for (v, &c) in covered.iter_mut().zip(&columns[best * stride..][..stride]) {
+            *v |= c;
+        }
+        chosen.push(best);
     }
-    let full: u64 = if items.len() == 64 {
-        u64::MAX
-    } else {
-        (1u64 << items.len()) - 1
-    };
-    let masks = candidates
-        .iter()
-        .map(|set| {
-            let mut m = 0u64;
-            for &item in set {
-                if item < num_items && bit[item] != u32::MAX {
-                    m |= 1u64 << bit[item];
-                }
-            }
-            m
-        })
-        .collect();
-    (full, masks)
+    chosen.sort_unstable();
 }
 
 fn greedy_cover(full: u64, masks: &[u64]) -> Vec<usize> {
@@ -297,10 +254,6 @@ fn exact_cover(full: u64, masks: &[u64]) -> Vec<usize> {
                 *best = chosen.clone();
             }
             return;
-        }
-        if chosen.len() + 1 >= *best_len {
-            // Even one more candidate cannot beat the incumbent unless it
-            // finishes the cover; handled below by trying each candidate.
         }
         if pos >= order.len() {
             return;
@@ -413,72 +366,155 @@ mod tests {
         assert_eq!(scheduling_set(&ops), vec![3]);
     }
 
-    /// The into-variant over per-resource op lists must select exactly what
-    /// `scheduling_set` selects over the transposed per-op candidate lists.
-    #[test]
-    fn scheduling_set_into_matches_legacy_on_random_instances() {
-        let mut state = 0xdead_beefu64;
-        let mut next = move |m: u64| {
+    /// Packs per-candidate item lists into a column plane.
+    fn columns_of(num_items: usize, candidates: &[Vec<usize>]) -> Vec<u64> {
+        let stride = num_items.div_ceil(64);
+        let mut columns = vec![0u64; candidates.len() * stride];
+        for (j, set) in candidates.iter().enumerate() {
+            for &item in set {
+                columns[j * stride + item / 64] |= 1 << (item % 64);
+            }
+        }
+        columns
+    }
+
+    /// Deterministic xorshift stream: `next(m)` is uniform-ish in `0..m`.
+    fn xorshift(mut state: u64) -> impl FnMut(u64) -> u64 {
+        move |m| {
             state ^= state << 13;
             state ^= state >> 7;
             state ^= state << 17;
             state % m
-        };
+        }
+    }
+
+    /// The column-plane entry point on a reused scratch selects exactly what
+    /// `scheduling_set` selects over the transposed per-op candidate lists,
+    /// however many empty columns trail the plane.
+    #[test]
+    fn column_plane_matches_candidate_lists_on_random_instances() {
+        let mut next = xorshift(0xdead_beef);
+        let mut scratch = CoverScratch::default();
         let mut out = Vec::new();
-        for _ in 0..40 {
+        for _ in 0..60 {
             let num_ops = 1 + next(12) as usize;
             let num_resources = 1 + next(8) as usize;
             let op_candidates: Vec<Vec<usize>> = (0..num_ops)
                 .map(|_| (0..num_resources).filter(|_| next(3) != 0).collect())
                 .collect();
-            let mut covers: Vec<Vec<OpId>> = vec![Vec::new(); num_resources];
+            let mut covers: Vec<Vec<usize>> = vec![Vec::new(); num_resources];
             for (op, cands) in op_candidates.iter().enumerate() {
                 for &r in cands {
-                    covers[r].push(OpId::new(op as u32));
+                    covers[r].push(op);
                 }
             }
-            let legacy = scheduling_set(&op_candidates);
-            scheduling_set_into(num_ops, &covers, &mut out);
-            assert_eq!(out, legacy, "candidates: {op_candidates:?}");
+            covers.extend((0..next(3)).map(|_| Vec::new()));
+            let columns = columns_of(num_ops, &covers);
+            scheduling_set_with_scratch(num_ops, &columns, &mut scratch, &mut out);
+            assert_eq!(out, scheduling_set(&op_candidates), "{op_candidates:?}");
         }
         // Degenerate shapes.
-        scheduling_set_into(0, &[vec![OpId::new(0)]], &mut out);
+        scheduling_set_with_scratch(0, &[], &mut scratch, &mut out);
         assert!(out.is_empty());
-        scheduling_set_into(3, &[], &mut out);
+        scheduling_set_with_scratch(3, &[], &mut scratch, &mut out);
         assert!(out.is_empty());
-        scheduling_set_into(2, &[vec![], vec![]], &mut out);
+        scheduling_set_with_scratch(2, &[0, 0], &mut scratch, &mut out);
         assert!(out.is_empty());
     }
 
-    /// More than 64 coverable items exceeds the 64-bit mask representation:
-    /// the mask-free greedy must take over and still produce a valid cover
-    /// (this used to shift-overflow).
+    /// Emptied trailing rows do not count against the exact-search limit:
+    /// 28 non-empty candidates plus one empty one still get the minimum
+    /// cover, where greedy takes three sets.
     #[test]
-    fn more_than_64_items_use_the_maskfree_greedy() {
+    fn trailing_empty_rows_keep_the_exact_cover() {
+        let mut candidates = vec![
+            vec![0, 1, 2],    // optimal
+            vec![3, 4, 5],    // optimal
+            vec![1, 2, 3, 4], // greedy bait
+            vec![0],
+            vec![5],
+        ];
+        candidates.extend((0..23).map(|_| vec![0]));
+        candidates.push(Vec::new());
+        assert_eq!(candidates.len(), EXACT_COVER_CANDIDATE_LIMIT + 1);
+        assert_eq!(minimum_cover(6, &candidates), vec![0, 1]);
+        let mut out = Vec::new();
+        let columns = columns_of(6, &candidates);
+        scheduling_set_with_scratch(6, &columns, &mut CoverScratch::default(), &mut out);
+        assert_eq!(out, vec![0, 1]);
+        // One more non-empty candidate crosses the limit: greedy.
+        candidates.pop();
+        candidates.push(vec![0]);
+        assert_eq!(minimum_cover(6, &candidates).len(), 3);
+    }
+
+    /// More than 64 coverable items exceeds the 64-bit mask representation:
+    /// the column-plane greedy must take over and still produce a valid
+    /// cover (this used to shift-overflow).
+    #[test]
+    fn more_than_64_items_use_the_column_greedy() {
         let num_items = 70;
         let mut candidates: Vec<Vec<usize>> = (0..num_items).map(|i| vec![i]).collect();
         candidates.push((0..num_items).collect());
         let cover = minimum_cover(num_items, &candidates);
         assert!(covers_all(num_items, &candidates, &cover));
         assert_eq!(cover, vec![num_items]); // the big candidate wins
-                                            // Two medium sets beat seventy singletons.
         let split: Vec<Vec<usize>> = {
             let mut c: Vec<Vec<usize>> = (0..num_items).map(|i| vec![i]).collect();
             c.push((0..40).collect());
             c.push((40..num_items).collect());
             c
         };
+        // Two medium sets beat seventy singletons.
         let cover = minimum_cover(num_items, &split);
         assert!(covers_all(num_items, &split, &cover));
         assert_eq!(cover, vec![num_items, num_items + 1]);
-        // The OpId entry point takes the same fallback.
-        let mut covers: Vec<Vec<OpId>> = vec![Vec::new(); split.len()];
-        for (j, set) in split.iter().enumerate() {
-            covers[j] = set.iter().map(|&i| OpId::new(i as u32)).collect();
+    }
+
+    /// The greedy rule spelled out over item lists: most newly covered
+    /// items wins, ties go to the highest index.
+    fn naive_greedy(num_items: usize, candidates: &[Vec<usize>]) -> Vec<usize> {
+        let mut covered = vec![false; num_items];
+        let mut chosen = Vec::new();
+        loop {
+            let gain =
+                |j: usize, covered: &[bool]| candidates[j].iter().filter(|&&i| !covered[i]).count();
+            let Some(best) = (0..candidates.len()).max_by_key(|&j| gain(j, &covered)) else {
+                break;
+            };
+            if gain(best, &covered) == 0 {
+                break;
+            }
+            for &i in &candidates[best] {
+                covered[i] = true;
+            }
+            chosen.push(best);
         }
-        let mut out = Vec::new();
-        scheduling_set_into(num_items, &covers, &mut out);
-        assert_eq!(out, cover);
+        chosen.sort_unstable();
+        chosen
+    }
+
+    /// Above 64 items the multi-word greedy follows the list rule exactly,
+    /// across word boundaries and with ties.
+    #[test]
+    fn column_greedy_matches_the_list_rule_above_64_items() {
+        let mut next = xorshift(0x5eed_1234);
+        for _ in 0..30 {
+            let num_items = 65 + next(100) as usize;
+            let num_sets = 1 + next(40) as usize;
+            let density = 2 + next(10);
+            let candidates: Vec<Vec<usize>> = (0..num_sets)
+                .map(|_| (0..num_items).filter(|_| next(density) == 0).collect())
+                .collect();
+            let coverable = (0..num_items)
+                .filter(|i| candidates.iter().any(|c| c.contains(i)))
+                .count();
+            let cover = minimum_cover(num_items, &candidates);
+            assert!(covers_all(num_items, &candidates, &cover));
+            if coverable > EXACT_COVER_ITEM_LIMIT {
+                assert_eq!(cover, naive_greedy(num_items, &candidates));
+            }
+        }
     }
 
     #[test]

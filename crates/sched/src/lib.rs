@@ -62,9 +62,7 @@ pub use constraint::{
     DenseSchedulingSetBound, PerClassBound, PerInstanceExclusive, ResourceConstraint,
     SchedulingSetBound, Unbounded,
 };
-pub use cover::{
-    minimum_cover, scheduling_set, scheduling_set_into, scheduling_set_with_scratch, CoverScratch,
-};
+pub use cover::{minimum_cover, scheduling_set, scheduling_set_with_scratch, CoverScratch};
 pub use error::SchedError;
 pub use list::{ListScheduler, SchedScratch, SchedulePriority};
 pub use schedule::{OpLatencies, Schedule};

@@ -8,14 +8,13 @@
 //! still admits them.
 
 use mwl_model::{Cycles, OpId, SequencingGraph};
-use serde::{Deserialize, Serialize};
 
 use crate::constraint::ResourceConstraint;
 use crate::error::SchedError;
 use crate::schedule::{OpLatencies, Schedule};
 
 /// Ready-operation ordering used by the list scheduler.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SchedulePriority {
     /// Order ready operations by decreasing length of their longest path to
     /// a sink (classic critical-path list scheduling).  Ties are broken by

@@ -8,8 +8,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use mwl_model::{Cycles, OpId, Operation, SequencingGraph};
 
 use crate::error::SchedError;
@@ -20,7 +18,7 @@ use crate::error::SchedError;
 /// the slowest resource an operation is still compatible with) during
 /// scheduling, and the *bound latencies* `ℓ(o)` (latency of the resource the
 /// operation was actually bound to) when analysing the result.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct OpLatencies {
     latencies: Vec<Cycles>,
 }
@@ -139,7 +137,7 @@ impl FromIterator<Cycles> for OpLatencies {
 ///
 /// A schedule is always interpreted together with a latency table: operation
 /// `o` occupies the half-open interval `[start(o), start(o) + latency(o))`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Schedule {
     start: Vec<Cycles>,
 }

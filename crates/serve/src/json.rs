@@ -1,11 +1,11 @@
 //! A minimal hand-rolled JSON value, parser and printer.
 //!
-//! The workspace's vendored `serde` stand-in is a no-op (see `vendor/serde`),
-//! so the wire protocol cannot rely on derived serialisation; this module is
-//! the self-contained replacement.  It supports exactly what a line-delimited
+//! The workspace has no serialisation dependency (it builds offline), so
+//! the wire protocol is encoded and decoded by this self-contained module.
+//! It supports exactly what a line-delimited
 //! control protocol needs: objects with ordered keys, arrays, strings with
 //! full escape handling (including `\uXXXX` and surrogate pairs), `i64`
-//! integers, booleans and `null`.  Floating-point literals are parsed and
+//! and `u64` integers, booleans and `null`.  Floating-point literals are parsed and
 //! re-printed, but the protocol itself only ever emits integers so that
 //! encoded payloads are byte-stable.
 //!
@@ -26,8 +26,9 @@ pub enum Json {
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// An integer (the protocol's only numeric type).
-    Int(i64),
+    /// An integer (the protocol's only numeric type), wide enough to hold
+    /// every `i64` and every `u64` exactly.
+    Int(i128),
     /// A non-integral number; accepted on input for robustness.
     Float(f64),
     /// A string.
@@ -132,20 +133,20 @@ impl Json {
         }
     }
 
-    /// The value as an `i64`, if it is an integer.
+    /// The value as an `i64`, if it is an integer in range.
     #[must_use]
     pub fn as_i64(&self) -> Option<i64> {
         match self {
-            Json::Int(i) => Some(*i),
+            Json::Int(i) => i64::try_from(*i).ok(),
             _ => None,
         }
     }
 
-    /// The value as a `u64`, if it is a non-negative integer.
+    /// The value as a `u64`, if it is a non-negative integer in range.
     #[must_use]
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Json::Int(i) if *i >= 0 => Some(*i as u64),
+            Json::Int(i) => u64::try_from(*i).ok(),
             _ => None,
         }
     }
@@ -449,7 +450,7 @@ impl Parser<'_> {
                 .map(Json::Float)
                 .map_err(|_| self.error("invalid number"))
         } else {
-            text.parse::<i64>()
+            text.parse::<i128>()
                 .map(Json::Int)
                 .map_err(|_| self.error("integer out of range"))
         }
@@ -487,14 +488,14 @@ impl ObjectBuilder {
     /// Appends an integer field.
     #[must_use]
     pub fn int(self, key: &str, value: i64) -> Self {
-        self.field(key, Json::Int(value))
+        self.field(key, Json::Int(value.into()))
     }
 
-    /// Appends a `u64` field (values above `i64::MAX` saturate; the
-    /// protocol's counters never get there).
+    /// Appends a `u64` field; every value, up to `u64::MAX`, is encoded
+    /// exactly.
     #[must_use]
     pub fn uint(self, key: &str, value: u64) -> Self {
-        self.field(key, Json::Int(i64::try_from(value).unwrap_or(i64::MAX)))
+        self.field(key, Json::Int(value.into()))
     }
 
     /// Appends a string field.
@@ -576,7 +577,8 @@ mod tests {
             "\"unterminated",
             "nul",
             "01a",
-            "9223372036854775808",
+            // One past `i128::MAX`: beyond any integer the protocol carries.
+            "170141183460469231731687303715884105728",
         ] {
             assert!(Json::parse(bad).is_err(), "accepted {bad:?}");
         }
@@ -598,8 +600,23 @@ mod tests {
     #[test]
     fn i64_boundaries_round_trip() {
         for v in [i64::MIN, -1, 0, 1, i64::MAX] {
-            let encoded = Json::Int(v).encode();
-            assert_eq!(Json::parse(&encoded).unwrap(), Json::Int(v));
+            let encoded = Json::Int(v.into()).encode();
+            assert_eq!(Json::parse(&encoded).unwrap().as_i64(), Some(v));
         }
+    }
+
+    #[test]
+    fn u64_values_encode_exactly() {
+        for v in [0, 1, i64::MAX as u64, 1 << 63, u64::MAX] {
+            let encoded = ObjectBuilder::new().uint("v", v).build().encode();
+            assert_eq!(encoded, format!("{{\"v\":{v}}}"));
+            let parsed = Json::parse(&encoded).unwrap();
+            assert_eq!(parsed.get("v").and_then(Json::as_u64), Some(v));
+        }
+        // Out of range for the accessors, never wrapped or saturated.
+        let big = Json::parse("18446744073709551616").unwrap();
+        assert_eq!(big.as_u64(), None);
+        assert_eq!(Json::parse("-1").unwrap().as_u64(), None);
+        assert_eq!(Json::parse("9223372036854775808").unwrap().as_i64(), None);
     }
 }

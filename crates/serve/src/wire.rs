@@ -125,9 +125,7 @@ impl WireGraph {
         let edges = self
             .edges
             .iter()
-            .map(|&(from, to)| {
-                Json::Array(vec![Json::Int(i64::from(from)), Json::Int(i64::from(to))])
-            })
+            .map(|&(from, to)| Json::Array(vec![Json::Int(from.into()), Json::Int(to.into())]))
             .collect();
         ObjectBuilder::new()
             .field("ops", Json::Array(ops))

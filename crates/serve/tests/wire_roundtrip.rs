@@ -44,9 +44,16 @@ fn string_strategy() -> impl Strategy<Value = String> {
     .prop_map(|chars| chars.into_iter().collect())
 }
 
-/// Non-negative integers that survive the i64-based JSON integer encoding.
-fn u63() -> impl Strategy<Value = u64> {
-    0u64..=(i64::MAX as u64)
+/// Unsigned integers over the whole `u64` range, biased towards the
+/// boundaries around `i64::MAX` that a signed encoding would lose.
+fn u64s() -> impl Strategy<Value = u64> {
+    prop_oneof![
+        any::<u64>(),
+        0u64..=1024,
+        Just(i64::MAX as u64),
+        Just(1u64 << 63),
+        Just(u64::MAX),
+    ]
 }
 
 fn op_strategy() -> impl Strategy<Value = OpShape> {
@@ -83,10 +90,7 @@ fn option_u64() -> impl Strategy<Value = Option<u64>> {
 /// The optional portfolio request: both fields present or neither (the
 /// parser rejects half-specified pairs, so only whole pairs are wire-legal).
 fn portfolio_pair() -> impl Strategy<Value = Option<(u64, u64)>> {
-    prop_oneof![
-        Just(None),
-        ((0u64..=1_000_000), (0u64..=2048)).prop_map(Some),
-    ]
+    prop_oneof![Just(None), (u64s(), (0u64..=2048)).prop_map(Some),]
 }
 
 fn config_strategy() -> impl Strategy<Value = JobConfig> {
@@ -116,7 +120,7 @@ fn config_strategy() -> impl Strategy<Value = JobConfig> {
 
 fn submit_strategy() -> impl Strategy<Value = SubmitRequest> {
     (
-        u63(),
+        u64s(),
         prop_oneof![Just(None), string_strategy().prop_map(Some)],
         any::<i64>(),
         graph_strategy(),
@@ -138,7 +142,7 @@ fn submit_strategy() -> impl Strategy<Value = SubmitRequest> {
 fn request_strategy() -> impl Strategy<Value = Request> {
     prop_oneof![
         submit_strategy().prop_map(Request::Submit),
-        u63().prop_map(|id| Request::Cancel { id }),
+        u64s().prop_map(|id| Request::Cancel { id }),
         Just(Request::Stats),
         Just(Request::Ping),
         Just(Request::Shutdown),
@@ -148,7 +152,7 @@ fn request_strategy() -> impl Strategy<Value = Request> {
 /// Portfolio stat blocks, escape-heavy winner labels included.
 fn wire_portfolio_strategy() -> impl Strategy<Value = WirePortfolio> {
     (
-        (u63(), 0u64..=1024, 0u64..=1024, 0u64..=1024),
+        (u64s(), 0u64..=1024, 0u64..=1024, 0u64..=1024),
         (0u64..=1024, string_strategy(), option_u64(), 0u64..=100_000),
     )
         .prop_map(
@@ -169,14 +173,14 @@ fn wire_portfolio_strategy() -> impl Strategy<Value = WirePortfolio> {
 
 fn stats_strategy() -> impl Strategy<Value = WireStats> {
     (
-        (0u32..=100_000, u63(), 0u32..=100_000),
+        (0u32..=100_000, u64s(), 0u32..=100_000),
         (
             0u64..=100_000,
             0u64..=100_000,
             0u64..=100_000,
             0u64..=100_000,
         ),
-        (u63(), u63(), any::<bool>()),
+        (u64s(), u64s(), any::<bool>()),
         prop_oneof![Just(None), wire_portfolio_strategy().prop_map(Some)],
     )
         .prop_map(
@@ -218,9 +222,9 @@ fn outcome_strategy() -> impl Strategy<Value = WireOutcome> {
 
 fn snapshot_strategy() -> impl Strategy<Value = StatsSnapshot> {
     (
-        (u63(), u63(), u63(), u63(), u63()),
-        (u63(), u63(), u63(), u63(), u63()),
-        u63(),
+        (u64s(), u64s(), u64s(), u64s(), u64s()),
+        (u64s(), u64s(), u64s(), u64s(), u64s()),
+        u64s(),
     )
         .prop_map(
             |(
@@ -251,15 +255,15 @@ fn response_strategy() -> impl Strategy<Value = Response> {
         Just(CODE_SHUTTING_DOWN),
     ];
     prop_oneof![
-        u63().prop_map(|id| Response::Accepted { id }),
-        (u63(), code, string_strategy()).prop_map(|(id, code, reason)| Response::Rejected {
+        u64s().prop_map(|id| Response::Accepted { id }),
+        (u64s(), code, string_strategy()).prop_map(|(id, code, reason)| Response::Rejected {
             id,
             code,
             reason
         }),
-        (u63(), outcome_strategy()).prop_map(|(id, outcome)| Response::Result { id, outcome }),
+        (u64s(), outcome_strategy()).prop_map(|(id, outcome)| Response::Result { id, outcome }),
         (
-            u63(),
+            u64s(),
             prop_oneof![
                 Just(CancelOutcome::Queued),
                 Just(CancelOutcome::InFlight),
@@ -269,7 +273,7 @@ fn response_strategy() -> impl Strategy<Value = Response> {
             .prop_map(|(id, outcome)| Response::CancelAck { id, outcome }),
         snapshot_strategy().prop_map(Response::Stats),
         Just(Response::Pong),
-        u63().prop_map(|drained| Response::ShutdownAck { drained }),
+        u64s().prop_map(|drained| Response::ShutdownAck { drained }),
         string_strategy().prop_map(|message| Response::Error { message }),
     ]
 }
@@ -318,4 +322,36 @@ proptest! {
             prop_assert!(Response::parse(&line[..cut]).is_err());
         }
     }
+}
+
+/// A `portfolio_seed` at `u64::MAX` reaches the server unchanged: the JSON
+/// layer encodes every `u64` exactly instead of saturating at `i64::MAX`.
+#[test]
+fn u64_max_portfolio_seed_is_encoded_exactly() {
+    let request = Request::Submit(SubmitRequest {
+        id: u64::MAX,
+        label: None,
+        priority: 0,
+        graph: WireGraph {
+            ops: vec![OpShape::adder(8)],
+            edges: Vec::new(),
+        },
+        latency: LatencySpec::RelaxSteps(0),
+        config: JobConfig {
+            portfolio_seed: Some(u64::MAX),
+            portfolio_variants: Some(4),
+            ..JobConfig::default()
+        },
+    });
+    let line = request.encode();
+    assert!(
+        line.contains("\"portfolio_seed\":18446744073709551615"),
+        "{line}"
+    );
+    let parsed = Request::parse(&line).expect("canonical line must parse");
+    assert_eq!(parsed, request);
+    let Request::Submit(submit) = parsed else {
+        panic!("not a submit: {parsed:?}");
+    };
+    assert_eq!(submit.config.portfolio_seed, Some(u64::MAX));
 }

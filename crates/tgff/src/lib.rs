@@ -37,7 +37,6 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use mwl_model::{OpShape, SequencingGraph, SequencingGraphBuilder};
 
@@ -49,7 +48,7 @@ use mwl_model::{OpShape, SequencingGraph, SequencingGraphBuilder};
 /// driver that stress the allocator in different ways (wide graphs maximise
 /// parallelism pressure, deep graphs serialise everything, diamonds fan out
 /// and back in).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum GraphShape {
     /// Random layer sizes around [`TgffConfig::ops_per_layer`] (the original
     /// TGFF-style behaviour).
@@ -66,7 +65,7 @@ pub enum GraphShape {
 }
 
 /// How operand wordlengths are drawn from [`TgffConfig::width_range`].
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum WidthProfile {
     /// Every width in the range is equally likely (the original behaviour).
     #[default]
@@ -84,7 +83,7 @@ pub enum WidthProfile {
 }
 
 /// Configuration of the random sequencing-graph generator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TgffConfig {
     /// Number of operations `|O|` in each generated graph.
     pub ops: usize,

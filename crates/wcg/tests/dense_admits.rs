@@ -57,7 +57,7 @@ proptest! {
             wcg.resources().iter().map(|r| r.class()).collect();
         let op_members: Vec<Vec<usize>> = graph
             .op_ids()
-            .map(|op| wcg.candidate_slice(op).to_vec())
+            .map(|op| wcg.resources_for(op))
             .collect();
 
         let mut bounds = BTreeMap::new();

@@ -1,19 +1,22 @@
 //! Bitset-kernel equivalence: every word-parallel query of the wordlength
-//! compatibility graph must return exactly what the retained sorted-`Vec`
-//! oracle ([`KernelMode::Oracle`]) returns, across all `GraphShape` ×
-//! `WidthProfile` families, through refinement, and regardless of whether
-//! the chain scratch is warm or fresh.
+//! compatibility graph must return exactly what a naive model built from
+//! first principles returns — an `(op, resource)` edge set, sort-based
+//! chain tests and a quadratic longest-chain DP — across all `GraphShape` ×
+//! `WidthProfile` families, on graphs below and above one 64-bit word of
+//! operations, through refinement, and regardless of whether the chain
+//! scratch is warm or fresh.
 //!
-//! The oracle is the pre-bitset implementation kept alive precisely for
-//! these tests; the allocator-level identity against the frozen reference
-//! lives in `mwl_core/tests/optimization_identity.rs`.
+//! The allocator-level identity against the frozen reference lives in
+//! `mwl_core/tests/optimization_identity.rs`.
+
+use std::collections::BTreeSet;
 
 use proptest::prelude::*;
 
-use mwl_model::{OpId, SonicCostModel};
-use mwl_sched::asap;
+use mwl_model::{Area, CostModel, Cycles, OpId, SequencingGraph, SonicCostModel};
+use mwl_sched::{asap, OpLatencies};
 use mwl_tgff::{GraphShape, TgffConfig, TgffGenerator, WidthProfile};
-use mwl_wcg::{ChainScratch, KernelMode, WordlengthCompatibilityGraph};
+use mwl_wcg::{ChainScratch, WordlengthCompatibilityGraph};
 
 /// One generated problem covering the full scenario space.
 #[derive(Debug, Clone)]
@@ -37,7 +40,8 @@ fn case_strategy() -> impl Strategy<Value = Case> {
             Just(WidthProfile::Mixed { high_fraction: 0.3 }),
             Just(WidthProfile::Mixed { high_fraction: 0.7 }),
         ],
-        1usize..=14,
+        // Single-word planes, and multi-word planes past 64 operations.
+        prop_oneof![1usize..=14, 60usize..=130],
         0u64..=2000,
     )
         .prop_map(|(shape, widths, ops, seed)| Case {
@@ -48,27 +52,163 @@ fn case_strategy() -> impl Strategy<Value = Case> {
         })
 }
 
-fn build(case: &Case) -> mwl_model::SequencingGraph {
+fn build(case: &Case) -> SequencingGraph {
     let config = TgffConfig::with_ops(case.ops)
         .shape(case.shape)
         .width_profile(case.widths);
     TgffGenerator::new(config, case.seed).generate()
 }
 
-/// Builds the twin graphs — same problem, opposite kernel modes — with a
-/// shared ASAP schedule attached.
-fn scheduled_twins(
-    graph: &mwl_model::SequencingGraph,
-    cost: &SonicCostModel,
-) -> (WordlengthCompatibilityGraph, WordlengthCompatibilityGraph) {
-    let mut bitset = WordlengthCompatibilityGraph::new(graph, cost);
-    let mut oracle = WordlengthCompatibilityGraph::new(graph, cost);
-    oracle.set_kernel_mode(KernelMode::Oracle);
-    let upper = bitset.upper_bound_latencies();
+/// The graph modelled from first principles: `H` as a set of
+/// `(op, resource)` pairs over the same resource list, per-resource costs
+/// straight from the cost model, and the schedule's execution intervals.
+struct Naive {
+    num_ops: usize,
+    latencies: Vec<Cycles>,
+    areas: Vec<Area>,
+    edges: BTreeSet<(usize, usize)>,
+    intervals: Vec<(Cycles, Cycles)>,
+}
+
+impl Naive {
+    fn new(graph: &SequencingGraph, wcg: &WordlengthCompatibilityGraph) -> Self {
+        let cost = SonicCostModel::default();
+        let resources = wcg.resources();
+        let mut edges = BTreeSet::new();
+        for (o, op) in graph.operations().iter().enumerate() {
+            for (r, resource) in resources.iter().enumerate() {
+                if resource.covers(op.shape()) {
+                    edges.insert((o, r));
+                }
+            }
+        }
+        Naive {
+            num_ops: graph.len(),
+            latencies: resources.iter().map(|r| cost.latency(r)).collect(),
+            areas: resources.iter().map(|r| cost.area(r)).collect(),
+            edges,
+            intervals: Vec::new(),
+        }
+    }
+
+    fn attach(&mut self, schedule: &mwl_sched::Schedule, latencies: &OpLatencies) {
+        self.intervals = (0..self.num_ops)
+            .map(|i| {
+                let op = OpId::new(i as u32);
+                (schedule.start(op), schedule.end(op, latencies))
+            })
+            .collect();
+    }
+
+    fn has_edge(&self, op: OpId, r: usize) -> bool {
+        self.edges.contains(&(op.index(), r))
+    }
+
+    fn resources_for(&self, op: OpId) -> Vec<usize> {
+        (0..self.latencies.len())
+            .filter(|&r| self.has_edge(op, r))
+            .collect()
+    }
+
+    fn ops_for(&self, r: usize) -> Vec<OpId> {
+        (0..self.num_ops)
+            .map(|i| OpId::new(i as u32))
+            .filter(|&o| self.has_edge(o, r))
+            .collect()
+    }
+
+    fn upper(&self, op: OpId) -> Cycles {
+        self.resources_for(op)
+            .iter()
+            .map(|&r| self.latencies[r])
+            .max()
+            .expect("op keeps an edge")
+    }
+
+    fn refinable(&self, op: OpId) -> bool {
+        let distinct: BTreeSet<Cycles> = self
+            .resources_for(op)
+            .iter()
+            .map(|&r| self.latencies[r])
+            .collect();
+        distinct.len() > 1
+    }
+
+    /// Deletes the at-bound edges unless that would strand the operation.
+    fn refine(&mut self, op: OpId) -> usize {
+        if !self.refinable(op) {
+            return 0;
+        }
+        let bound = self.upper(op);
+        let slow: Vec<usize> = self
+            .resources_for(op)
+            .into_iter()
+            .filter(|&r| self.latencies[r] == bound)
+            .collect();
+        for &r in &slow {
+            self.edges.remove(&(op.index(), r));
+        }
+        slow.len()
+    }
+
+    fn is_chain(&self, ops: &[OpId]) -> bool {
+        let mut sorted = ops.to_vec();
+        sorted.sort_by_key(|o| self.intervals[o.index()].0);
+        sorted
+            .windows(2)
+            .all(|w| self.intervals[w[0].index()].1 <= self.intervals[w[1].index()].0)
+    }
+
+    /// Longest chain of uncovered members of `O(r)`: quadratic DP over the
+    /// candidates sorted by `(start, end, id)`, first maximum wins.
+    fn max_chain(&self, r: usize, covered: &[bool]) -> Vec<OpId> {
+        let iv = &self.intervals;
+        let mut cands: Vec<OpId> = self
+            .ops_for(r)
+            .into_iter()
+            .filter(|o| !covered[o.index()])
+            .collect();
+        cands.sort_by_key(|o| (iv[o.index()].0, iv[o.index()].1, *o));
+        if cands.is_empty() {
+            return Vec::new();
+        }
+        let mut best = vec![1usize; cands.len()];
+        let mut prev = vec![None; cands.len()];
+        for i in 0..cands.len() {
+            for j in 0..i {
+                if iv[cands[j].index()].1 <= iv[cands[i].index()].0 && best[j] + 1 > best[i] {
+                    best[i] = best[j] + 1;
+                    prev[i] = Some(j);
+                }
+            }
+        }
+        let mut tail = (0..cands.len()).max_by_key(|&i| best[i]).unwrap();
+        let mut chain = vec![cands[tail]];
+        while let Some(p) = prev[tail] {
+            chain.push(cands[p]);
+            tail = p;
+        }
+        chain.reverse();
+        chain
+    }
+
+    fn cheapest_common_resource(&self, ops: &[OpId]) -> Option<usize> {
+        (0..self.latencies.len())
+            .filter(|&r| ops.iter().all(|&o| self.has_edge(o, r)))
+            .min_by_key(|&r| (self.areas[r], r))
+    }
+}
+
+/// The WCG and its naive model for one problem, with a shared ASAP schedule
+/// attached.
+fn scheduled(graph: &SequencingGraph) -> (WordlengthCompatibilityGraph, Naive) {
+    let mut wcg = WordlengthCompatibilityGraph::new(graph, &SonicCostModel::default());
+    let mut naive = Naive::new(graph, &wcg);
+    let upper = wcg.upper_bound_latencies();
     let schedule = asap(graph, &upper);
-    bitset.attach_schedule(&schedule, &upper);
-    oracle.attach_schedule(&schedule, &upper);
-    (bitset, oracle)
+    wcg.attach_schedule(&schedule, &upper);
+    naive.attach(&schedule, &upper);
+    (wcg, naive)
 }
 
 /// Deterministic bit source for subset sampling (no `rand` dev-dependency
@@ -81,108 +221,115 @@ fn splitmix(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// A pseudo-random subset of the graph's operations, one fresh random word
+/// per 64 operations.
+fn random_subset(num_ops: usize, state: &mut u64) -> Vec<OpId> {
+    let words: Vec<u64> = (0..num_ops.div_ceil(64)).map(|_| splitmix(state)).collect();
+    (0..num_ops)
+        .filter(|&i| words[i / 64] >> (i % 64) & 1 == 1)
+        .map(|i| OpId::new(i as u32))
+        .collect()
+}
+
+fn mask_of(ops: &[OpId], words: usize) -> Vec<u64> {
+    let mut mask = vec![0u64; words];
+    for op in ops {
+        mask[op.index() / 64] |= 1 << (op.index() % 64);
+    }
+    mask
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
-    /// Structural queries agree between the kernels: edge probes, candidate
-    /// lists, per-resource operation lists and edge counts, and the
-    /// cheapest-common-resource selection for arbitrary op subsets.
+    /// Structural queries agree with the edge set: edge probes, candidate
+    /// lists, per-resource operation lists and columns, edge counts, upper
+    /// bounds, and the cheapest-common-resource selection for arbitrary op
+    /// subsets.
     #[test]
-    fn structure_queries_match_oracle(case in case_strategy(), subset_seed in any::<u64>()) {
+    fn structure_queries_match_naive(case in case_strategy(), subset_seed in any::<u64>()) {
         let graph = build(&case);
-        let cost = SonicCostModel::default();
-        let (bitset, oracle) = scheduled_twins(&graph, &cost);
+        let (wcg, naive) = scheduled(&graph);
+        let words = wcg.op_mask_words();
 
         for op in graph.op_ids() {
-            prop_assert_eq!(bitset.resources_for(op), oracle.resources_for(op));
-            for r in 0..bitset.resources().len() {
-                prop_assert_eq!(bitset.has_edge(op, r), oracle.has_edge(op, r));
+            prop_assert_eq!(wcg.resources_for(op), naive.resources_for(op));
+            prop_assert_eq!(wcg.upper_bound_latency(op), naive.upper(op));
+            for r in 0..wcg.resources().len() {
+                prop_assert_eq!(wcg.has_edge(op, r), naive.has_edge(op, r));
             }
         }
-        for r in 0..bitset.resources().len() {
-            prop_assert_eq!(bitset.ops_for(r), oracle.ops_for(r));
-            prop_assert_eq!(bitset.resource_edge_count(r), oracle.resource_edge_count(r));
+        for r in 0..wcg.resources().len() {
+            let ops = naive.ops_for(r);
+            prop_assert_eq!(&wcg.ops_for(r), &ops);
+            prop_assert_eq!(wcg.resource_edge_count(r), ops.len());
+            prop_assert_eq!(&wcg.resource_columns()[r * words..][..words], &mask_of(&ops, words)[..]);
         }
+        prop_assert_eq!(wcg.num_edges(), naive.edges.len());
 
         let mut state = subset_seed;
-        let ids: Vec<OpId> = graph.op_ids().collect();
         for _ in 0..8 {
-            let mask = splitmix(&mut state);
-            let subset: Vec<OpId> = ids
-                .iter()
-                .copied()
-                .filter(|o| mask & (1 << (o.index() % 64)) != 0)
-                .collect();
+            let subset = random_subset(graph.len(), &mut state);
             prop_assert_eq!(
-                bitset.cheapest_common_resource(&subset),
-                oracle.cheapest_common_resource(&subset)
+                wcg.cheapest_common_resource(&subset),
+                naive.cheapest_common_resource(&subset)
             );
         }
+        prop_assert_eq!(
+            wcg.cheapest_common_resource(&[]),
+            naive.cheapest_common_resource(&[])
+        );
     }
 
-    /// `is_chain` agrees with the sort-based oracle on arbitrary subsets
-    /// (both through the mode dispatch and via `is_chain_oracle` directly),
-    /// and the mask form agrees with the slice form.
+    /// `is_chain` and its mask form agree with the sort-based definition on
+    /// arbitrary subsets and on real chains.
     #[test]
-    fn is_chain_matches_oracle(case in case_strategy(), subset_seed in any::<u64>()) {
+    fn is_chain_matches_naive(case in case_strategy(), subset_seed in any::<u64>()) {
         let graph = build(&case);
-        let cost = SonicCostModel::default();
-        let (bitset, oracle) = scheduled_twins(&graph, &cost);
-        let ids: Vec<OpId> = graph.op_ids().collect();
+        let (wcg, naive) = scheduled(&graph);
+        let words = wcg.op_mask_words();
 
         let mut state = subset_seed;
-        let words = bitset.op_mask_words();
         for round in 0..12 {
-            let sample = splitmix(&mut state);
-            let subset: Vec<OpId> = ids
-                .iter()
-                .copied()
-                .filter(|o| sample & (1 << (o.index() % 64)) != 0)
-                .collect();
             // Mix in real chains so the `true` branch is exercised, not just
             // random (usually incompatible) subsets.
-            let subset = if round % 3 == 0 && !bitset.resources().is_empty() {
+            let subset = if round % 3 == 0 && !wcg.resources().is_empty() {
                 let covered = vec![false; graph.len()];
-                bitset.max_chain(round % bitset.resources().len(), &covered)
+                naive.max_chain(round % wcg.resources().len(), &covered)
             } else {
-                subset
+                random_subset(graph.len(), &mut state)
             };
-            let expected = oracle.is_chain(&subset);
-            prop_assert_eq!(bitset.is_chain(&subset), expected);
-            prop_assert_eq!(bitset.is_chain_oracle(&subset), expected);
-
-            let mut mask = vec![0u64; words];
-            for &op in &subset {
-                mask[op.index() / 64] |= 1 << (op.index() % 64);
-            }
-            prop_assert_eq!(bitset.mask_is_chain(&mask), expected);
+            let expected = naive.is_chain(&subset);
+            prop_assert_eq!(wcg.is_chain(&subset), expected);
+            prop_assert_eq!(wcg.mask_is_chain(&mask_of(&subset, words)), expected);
         }
     }
 
-    /// `max_chain_into` produces the identical chain under both kernels, for
-    /// every resource and for arbitrary covered sets — and a warm scratch
-    /// (reused across every query) is indistinguishable from a fresh one.
+    /// `max_chain_into` produces the naive DP's chain for every resource and
+    /// for arbitrary covered sets — and a warm scratch (reused across every
+    /// query) is indistinguishable from a fresh one.
     #[test]
-    fn max_chain_matches_oracle_warm_and_fresh(
+    fn max_chain_matches_naive_warm_and_fresh(
         case in case_strategy(),
         covered_seed in any::<u64>(),
     ) {
         let graph = build(&case);
-        let cost = SonicCostModel::default();
-        let (bitset, oracle) = scheduled_twins(&graph, &cost);
+        let (wcg, naive) = scheduled(&graph);
 
         let mut state = covered_seed;
         let mut warm = ChainScratch::default();
         let mut warm_chain = Vec::new();
         for round in 0..4 {
-            let sample = splitmix(&mut state);
-            let covered: Vec<bool> = (0..graph.len())
-                .map(|i| round > 0 && sample & (1 << (i % 64)) != 0)
-                .collect();
-            for r in 0..bitset.resources().len() {
-                let expected = oracle.max_chain(r, &covered);
-                prop_assert_eq!(&bitset.max_chain(r, &covered), &expected);
-                bitset.max_chain_into(r, &covered, &mut warm, &mut warm_chain);
+            let mut covered = vec![false; graph.len()];
+            if round > 0 {
+                for op in random_subset(graph.len(), &mut state) {
+                    covered[op.index()] = true;
+                }
+            }
+            for r in 0..wcg.resources().len() {
+                let expected = naive.max_chain(r, &covered);
+                prop_assert_eq!(&wcg.max_chain(r, &covered), &expected);
+                wcg.max_chain_into(r, &covered, &mut warm, &mut warm_chain);
                 prop_assert_eq!(&warm_chain, &expected);
             }
         }
@@ -192,68 +339,60 @@ proptest! {
     /// definitions: `mask_covered_by` ⇔ every masked op has the H edge,
     /// `mask_candidate_count` = |mask ∩ O(r)|.
     #[test]
-    fn mask_primitives_match_scalar_definitions(
-        case in case_strategy(),
-        mask_seed in any::<u64>(),
-    ) {
+    fn mask_primitives_match_naive(case in case_strategy(), mask_seed in any::<u64>()) {
         let graph = build(&case);
-        let cost = SonicCostModel::default();
-        let (bitset, oracle) = scheduled_twins(&graph, &cost);
-        let ids: Vec<OpId> = graph.op_ids().collect();
-        let words = bitset.op_mask_words();
+        let (wcg, naive) = scheduled(&graph);
+        let words = wcg.op_mask_words();
 
         let mut state = mask_seed;
         for _ in 0..8 {
-            let sample = splitmix(&mut state);
-            let subset: Vec<OpId> = ids
-                .iter()
-                .copied()
-                .filter(|o| sample & (1 << (o.index() % 64)) != 0)
-                .collect();
-            let mut mask = vec![0u64; words];
-            for &op in &subset {
-                mask[op.index() / 64] |= 1 << (op.index() % 64);
-            }
-            for r in 0..bitset.resources().len() {
+            let subset = random_subset(graph.len(), &mut state);
+            let mask = mask_of(&subset, words);
+            for r in 0..wcg.resources().len() {
                 prop_assert_eq!(
-                    bitset.mask_covered_by(&mask, r),
-                    subset.iter().all(|&op| oracle.has_edge(op, r))
+                    wcg.mask_covered_by(&mask, r),
+                    subset.iter().all(|&op| naive.has_edge(op, r))
                 );
                 prop_assert_eq!(
-                    bitset.mask_candidate_count(&mask, r),
-                    subset.iter().filter(|&&op| oracle.has_edge(op, r)).count()
+                    wcg.mask_candidate_count(&mask, r),
+                    subset.iter().filter(|&&op| naive.has_edge(op, r)).count()
                 );
             }
         }
     }
 
-    /// Refinement keeps the kernels in lock-step: driving the identical
-    /// refinement sequence through both modes preserves upper bounds,
-    /// candidate lists and the whole edge relation after every step.
+    /// Refinement keeps the planes in lock-step with the edge set: the same
+    /// refinement sequence preserves removal counts, upper bounds,
+    /// candidate lists and the whole edge relation after every step, and
+    /// `restore_pristine` brings back the unrefined graph.
     #[test]
-    fn refinement_keeps_kernels_identical(case in case_strategy()) {
+    fn refinement_matches_naive(case in case_strategy()) {
         let graph = build(&case);
-        let cost = SonicCostModel::default();
-        let mut bitset = WordlengthCompatibilityGraph::new(&graph, &cost);
-        let mut oracle = WordlengthCompatibilityGraph::new(&graph, &cost);
-        oracle.set_kernel_mode(KernelMode::Oracle);
+        let mut wcg = WordlengthCompatibilityGraph::new(&graph, &SonicCostModel::default());
+        let mut naive = Naive::new(&graph, &wcg);
+        let pristine = naive.edges.clone();
+        wcg.snapshot_pristine();
 
         for op in graph.op_ids() {
-            while bitset.refinable(op) {
-                prop_assert!(oracle.refinable(op));
-                prop_assert_eq!(bitset.refine_op(op), oracle.refine_op(op));
-                prop_assert_eq!(
-                    bitset.upper_bound_latency(op),
-                    oracle.upper_bound_latency(op)
-                );
-                prop_assert_eq!(bitset.resources_for(op), oracle.resources_for(op));
+            while wcg.refinable(op) {
+                prop_assert!(naive.refinable(op));
+                prop_assert_eq!(wcg.refine_op(op), naive.refine(op));
+                prop_assert_eq!(wcg.upper_bound_latency(op), naive.upper(op));
+                prop_assert_eq!(wcg.resources_for(op), naive.resources_for(op));
             }
-            prop_assert!(!oracle.refinable(op));
+            prop_assert!(!naive.refinable(op));
+            prop_assert_eq!(wcg.refine_op(op), 0);
         }
+        for r in 0..wcg.resources().len() {
+            prop_assert_eq!(wcg.ops_for(r), naive.ops_for(r));
+            prop_assert_eq!(wcg.resource_edge_count(r), naive.ops_for(r).len());
+        }
+
+        wcg.restore_pristine();
+        naive.edges = pristine;
         for op in graph.op_ids() {
-            for r in 0..bitset.resources().len() {
-                prop_assert_eq!(bitset.has_edge(op, r), oracle.has_edge(op, r));
-            }
+            prop_assert_eq!(wcg.resources_for(op), naive.resources_for(op));
+            prop_assert_eq!(wcg.upper_bound_latency(op), naive.upper(op));
         }
     }
 }
