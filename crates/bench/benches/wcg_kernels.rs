@@ -6,19 +6,20 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mwl_model::{OpId, SonicCostModel};
-use mwl_sched::asap;
+use mwl_sched::{asap, OpLatencies, Schedule};
 use mwl_tgff::{TgffConfig, TgffGenerator};
 use mwl_wcg::{ChainScratch, WordlengthCompatibilityGraph};
 
-/// Builds a scheduled WCG for the given problem size.
-fn scheduled_wcg(ops: usize) -> WordlengthCompatibilityGraph {
+/// Builds a scheduled WCG for the given problem size, with the schedule and
+/// latencies it was attached with.
+fn scheduled_wcg(ops: usize) -> (WordlengthCompatibilityGraph, Schedule, OpLatencies) {
     let graph = TgffGenerator::new(TgffConfig::with_ops(ops), 271).generate();
     let cost = SonicCostModel::default();
     let mut wcg = WordlengthCompatibilityGraph::new(&graph, &cost);
     let upper = wcg.upper_bound_latencies();
     let schedule = asap(&graph, &upper);
     wcg.attach_schedule(&schedule, &upper);
-    wcg
+    (wcg, schedule, upper)
 }
 
 fn bench_kernels(c: &mut Criterion) {
@@ -28,20 +29,31 @@ fn bench_kernels(c: &mut Criterion) {
     group.warm_up_time(std::time::Duration::from_millis(200));
 
     for &ops in &[16usize, 32, 64, 128] {
-        let wcg = scheduled_wcg(ops);
+        let (mut wcg, schedule, upper) = scheduled_wcg(ops);
         let ids: Vec<OpId> = (0..ops as u32).map(OpId::new).collect();
         let label = format!("{ops}ops");
 
+        // The once-per-pass compatibility build: intervals, rank orders and
+        // the per-operation compatibility rows, on warm buffers.
+        if ops == 128 {
+            group.bench_with_input(BenchmarkId::new("attach_schedule", &label), &(), |b, ()| {
+                b.iter(|| wcg.attach_schedule(&schedule, &upper))
+            });
+        }
+
         // The per-round covering query: longest chain per resource over
         // the uncovered set, on warm scratch.
-        let covered = vec![false; ops];
+        let mut uncovered = vec![0u64; wcg.op_mask_words()];
+        for i in 0..ops {
+            uncovered[i / 64] |= 1 << (i % 64);
+        }
         let mut scratch = ChainScratch::default();
         let mut chain = Vec::new();
         group.bench_with_input(BenchmarkId::new("max_chain_into", &label), &(), |b, ()| {
             b.iter(|| {
                 let mut total = 0usize;
                 for r in 0..wcg.resources().len() {
-                    wcg.max_chain_into(r, &covered, &mut scratch, &mut chain);
+                    wcg.max_chain_into(r, &uncovered, &mut scratch, &mut chain);
                     total += chain.len();
                 }
                 total

@@ -93,7 +93,7 @@ pub(crate) fn bind_select_with_scratch(
     let n = wcg.num_ops();
     let words = wcg.op_mask_words();
     let BindScratch {
-        covered,
+        chain_len,
         chain,
         chain_buf,
         best_chain,
@@ -105,8 +105,12 @@ pub(crate) fn bind_select_with_scratch(
         uncovered_mask,
         clique_count: clique_slot,
     } = scratch;
-    covered.clear();
-    covered.resize(n, false);
+    // Chain length per resource from an earlier round of this call
+    // (`usize::MAX`: not computed yet).  Covered operations only grow, so a
+    // resource's chain only shrinks and an earlier length stays an upper
+    // bound.
+    chain_len.clear();
+    chain_len.resize(wcg.resources().len(), usize::MAX);
     union_mask.clear();
     union_mask.resize(words, 0);
     uncovered_mask.clear();
@@ -126,21 +130,23 @@ pub(crate) fn bind_select_with_scratch(
         // and keep the one with the best |p_r| / cost(r) ratio.
         let mut best: Option<usize> = None;
         let mut best_key = (0.0f64, 0usize, u64::MAX);
-        for r in 0..wcg.resources().len() {
-            // The uncovered candidate count bounds any chain's length, so a
-            // resource whose count/area ratio already falls short of the
-            // incumbent (beyond the tie tolerance) cannot win — skip it
-            // without running the chain DP.  A zero count means an empty
-            // chain.
+        for (r, known_len) in chain_len.iter_mut().enumerate() {
+            // The uncovered candidate count and the resource's earlier chain
+            // length both bound its chain's length, so a resource whose
+            // bound/area ratio already falls short of the incumbent (beyond
+            // the tie tolerance) cannot win — skip it without running the
+            // chain DP.  A zero count means an empty chain.
             let count = wcg.mask_candidate_count(uncovered_mask, r);
             if count == 0 {
                 continue;
             }
             let area = wcg.resource_area(r).max(1);
-            if best.is_some() && (count as f64 / area as f64) < best_key.0 - f64::EPSILON {
+            let bound = count.min(*known_len);
+            if best.is_some() && (bound as f64 / area as f64) < best_key.0 - f64::EPSILON {
                 continue;
             }
-            wcg.max_chain_into(r, covered, chain, chain_buf);
+            wcg.max_chain_into(r, uncovered_mask, chain, chain_buf);
+            *known_len = chain_buf.len();
             let ratio = chain_buf.len() as f64 / area as f64;
             let key = (ratio, chain_buf.len(), u64::MAX - area);
             let better = match &best {
@@ -161,14 +167,13 @@ pub(crate) fn bind_select_with_scratch(
         let Some(resource) = best else {
             // Some operation is uncovered but no resource can execute it.
             let op = (0..n)
+                .find(|&i| uncovered_mask[i / 64] >> (i % 64) & 1 == 1)
                 .map(|i| OpId::new(i as u32))
-                .find(|o| !covered[o.index()])
                 .expect("loop condition guarantees an uncovered operation");
             return Err(AllocError::UncoverableOperation(op));
         };
 
         for &op in best_chain.iter() {
-            covered[op.index()] = true;
             uncovered_mask[op.index() / 64] &= !(1u64 << (op.index() % 64));
         }
         remaining -= best_chain.len();

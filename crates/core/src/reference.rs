@@ -16,7 +16,8 @@
 //!   pre-rewrite **cost profile**: `BTreeSet`-backed adjacency with `O(|O|)`
 //!   `ops_for` scans, per-iteration rebuilds of the candidate lists and
 //!   membership tables, cloned bound maps, the peak-cloning Eqn (3)
-//!   `admits`, a position-scanning set-cover mask builder, and a full
+//!   `admits`, a position-scanning set-cover mask builder, a list scheduler
+//!   that rescans every operation at every control step, and a full
 //!   reschedule plus compatibility-graph rebuild per merge candidate.
 //!
 //! Do **not** optimize or share code out of this module — that would
@@ -26,8 +27,8 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use mwl_model::{Area, CostModel, Cycles, OpId, ResourceClass, ResourceType, SequencingGraph};
 use mwl_sched::{
-    critical_path_length, ListScheduler, OpLatencies, PerInstanceExclusive, SchedError, Schedule,
-    SchedulePriority, SchedulingSetBound,
+    critical_path_length, OpLatencies, PerInstanceExclusive, ResourceConstraint, SchedError,
+    Schedule, SchedulePriority, SchedulingSetBound,
 };
 
 use crate::bind::BindSelectOptions;
@@ -232,6 +233,150 @@ impl FrozenWcg {
         (0..self.num_ops())
             .map(|i| self.resources_for(OpId::new(i as u32)))
             .collect()
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Frozen list scheduler (rescans every operation at every control step).
+// ---------------------------------------------------------------------------
+
+/// The pre-rewrite list scheduler: at every control step the ready list is
+/// rebuilt by scanning all operations and sorted, and the next event is
+/// found by scanning all placed operations.  Same schedules and errors as
+/// [`mwl_sched::ListScheduler`].
+fn list_schedule<C: ResourceConstraint>(
+    priority_rule: SchedulePriority,
+    graph: &SequencingGraph,
+    latencies: &OpLatencies,
+    mut constraint: C,
+) -> Result<Schedule, SchedError> {
+    latencies.validate(graph)?;
+    let n = graph.len();
+    let priority = priority_values(graph, latencies);
+    let mut start: Vec<Option<Cycles>> = vec![None; n];
+    let mut ready: Vec<OpId> = Vec::new();
+
+    let mut scheduled = 0usize;
+    let mut step: Cycles = 0;
+
+    while scheduled < n {
+        // Ready operations: unscheduled, all predecessors finished by `step`.
+        ready.clear();
+        ready.extend(
+            graph
+                .op_ids()
+                .filter(|&o| start[o.index()].is_none())
+                .filter(|&o| {
+                    graph.predecessors(o).iter().all(|&p| {
+                        start[p.index()]
+                            .map(|s| s + latencies.get(p) <= step)
+                            .unwrap_or(false)
+                    })
+                }),
+        );
+        sort_ready(priority_rule, &mut ready, &priority);
+
+        let mut placed_any = false;
+        for &op in ready.iter() {
+            let lat = latencies.get(op);
+            if constraint.admits(op, step, lat) {
+                constraint.commit(op, step, lat);
+                start[op.index()] = Some(step);
+                scheduled += 1;
+                placed_any = true;
+            }
+        }
+
+        if scheduled == n {
+            break;
+        }
+
+        // Advance to the next event: the earliest completion strictly
+        // after `step`, or `step + 1` if something was just placed (its
+        // completion is such an event anyway).
+        let next_event = graph
+            .op_ids()
+            .filter_map(|o| start[o.index()].map(|s| s + latencies.get(o)))
+            .filter(|&e| e > step)
+            .min();
+
+        match next_event {
+            Some(e) => step = e,
+            None => {
+                if placed_any {
+                    step += 1;
+                    continue;
+                }
+                let blocked = ready
+                    .iter()
+                    .copied()
+                    .find(|&o| !constraint.admissible_at_all(o, latencies.get(o)))
+                    .or_else(|| ready.first().copied())
+                    .or_else(|| graph.op_ids().find(|&o| start[o.index()].is_none()))
+                    .expect("some operation remains unscheduled");
+                return Err(SchedError::InfeasibleResourceBound { op: blocked });
+            }
+        }
+    }
+
+    Ok(Schedule::from_vec(
+        start.iter().map(|s| s.unwrap_or(0)).collect(),
+    ))
+}
+
+/// Longest path from each operation to any sink, including the operation's
+/// own latency, by an iterative post-order walk over the successor lists.
+fn priority_values(graph: &SequencingGraph, latencies: &OpLatencies) -> Vec<Cycles> {
+    const WHITE: u8 = 0;
+    const GRAY: u8 = 1;
+    let mut value = vec![0; graph.len()];
+    let mut state = vec![WHITE; graph.len()];
+    let mut stack: Vec<OpId> = Vec::new();
+    for root in graph.op_ids() {
+        if state[root.index()] != WHITE {
+            continue;
+        }
+        stack.push(root);
+        while let Some(&v) = stack.last() {
+            match state[v.index()] {
+                WHITE => {
+                    state[v.index()] = GRAY;
+                    stack.extend(
+                        graph
+                            .successors(v)
+                            .iter()
+                            .copied()
+                            .filter(|&s| state[s.index()] == WHITE),
+                    );
+                }
+                GRAY => {
+                    stack.pop();
+                    let tail = graph
+                        .successors(v)
+                        .iter()
+                        .map(|&s| value[s.index()])
+                        .max()
+                        .unwrap_or(0);
+                    value[v.index()] = tail + latencies.get(v);
+                    state[v.index()] = 2; // black: finished
+                }
+                _ => {
+                    // A duplicate of an already-finished node (pushed
+                    // white by two parents before its first expansion).
+                    stack.pop();
+                }
+            }
+        }
+    }
+    value
+}
+
+fn sort_ready(priority_rule: SchedulePriority, ready: &mut [OpId], priority: &[Cycles]) {
+    match priority_rule {
+        SchedulePriority::CriticalPath => {
+            ready.sort_by_key(|&o| (std::cmp::Reverse(priority[o.index()]), o));
+        }
+        SchedulePriority::InputOrder => ready.sort_unstable(),
     }
 }
 
@@ -795,8 +940,7 @@ fn try_with_bounds(
             bounds.clone(),
         );
 
-        let schedule = match ListScheduler::new(config.priority).schedule(graph, &upper, constraint)
-        {
+        let schedule = match list_schedule(config.priority, graph, &upper, constraint) {
             Ok(s) => s,
             Err(SchedError::InfeasibleResourceBound { op }) => {
                 return Err(InnerFailure::NeedMoreResources(op_classes[op.index()]));
@@ -1004,9 +1148,13 @@ fn reschedule(
         cost.latency(&instances[binding[op.id().index()]].resource())
     });
     let constraint = PerInstanceExclusive::new(binding, instances.len());
-    ListScheduler::new(SchedulePriority::CriticalPath)
-        .schedule(graph, &latencies, constraint)
-        .ok()
+    list_schedule(
+        SchedulePriority::CriticalPath,
+        graph,
+        &latencies,
+        constraint,
+    )
+    .ok()
 }
 
 #[cfg(test)]
@@ -1014,7 +1162,117 @@ mod tests {
     use super::*;
     use crate::dpalloc::DpAllocator;
     use mwl_model::SonicCostModel;
-    use mwl_tgff::{TgffConfig, TgffGenerator};
+    use mwl_sched::{DenseSchedulingSetBound, ListScheduler, PerClassBound, Unbounded};
+    use mwl_tgff::{GraphShape, TgffConfig, TgffGenerator, WidthProfile};
+    use proptest::prelude::*;
+
+    /// Deterministic bit stream for the per-case latencies, bounds and
+    /// bindings.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// Asserts the live scheduler and the frozen copy agree, schedule for
+    /// schedule and error for error, on one constraint built twice.
+    fn assert_same_schedule<C: ResourceConstraint>(
+        priority: SchedulePriority,
+        graph: &SequencingGraph,
+        latencies: &OpLatencies,
+        mut make: impl FnMut() -> C,
+        what: &str,
+    ) {
+        let live = ListScheduler::new(priority).schedule(graph, latencies, make());
+        let frozen = list_schedule(priority, graph, latencies, make());
+        assert_eq!(live, frozen, "{what} under {priority:?}");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 96, ..ProptestConfig::default() })]
+
+        /// The event-driven `ListScheduler` reproduces the frozen rescanning
+        /// scheduler under every constraint kind, both priorities, and
+        /// bounds tight enough to be infeasible.
+        #[test]
+        fn list_scheduler_matches_frozen_copy(
+            shape in prop_oneof![
+                Just(GraphShape::Layered),
+                Just(GraphShape::Wide),
+                Just(GraphShape::Deep),
+                Just(GraphShape::Diamond),
+            ],
+            ops in prop_oneof![1usize..=14, 15usize..=130],
+            seed in 0u64..=5000,
+            knobs in any::<u64>(),
+        ) {
+            let config = TgffConfig::with_ops(ops)
+                .shape(shape)
+                .width_profile(WidthProfile::Mixed { high_fraction: 0.5 });
+            let graph = TgffGenerator::new(config, seed).generate();
+            let mut state = knobs;
+            let latencies = OpLatencies::from_fn(&graph, |_| 1 + (splitmix(&mut state) % 4) as Cycles);
+            let classes: Vec<ResourceClass> = graph
+                .operations()
+                .iter()
+                .map(|o| ResourceClass::for_kind(o.kind()))
+                .collect();
+            let mut class_bounds: BTreeMap<ResourceClass, usize> = BTreeMap::new();
+            for &class in &classes {
+                class_bounds.entry(class).or_insert((splitmix(&mut state) % 4) as usize);
+            }
+            let instances = 1 + (splitmix(&mut state) % 6) as usize;
+            let binding: Vec<usize> = (0..graph.len())
+                .map(|_| (splitmix(&mut state) % instances as u64) as usize)
+                .collect();
+
+            // The Eqn (3) constraint over every resource type of the graph.
+            let wcg = FrozenWcg::new(&graph, &SonicCostModel::default());
+            // Member peaks only grow, so a bound under the class's
+            // operation count may strand an operation; mix tight, middling
+            // and always-feasible bounds.
+            let mut dense_bounds = [None; ResourceClass::COUNT];
+            for (&class, &tight) in &class_bounds {
+                let count = classes.iter().filter(|&&c| c == class).count();
+                dense_bounds[class.index()] = Some(match splitmix(&mut state) % 3 {
+                    0 => tight,
+                    1 => count.div_ceil(2),
+                    _ => count,
+                });
+            }
+            let mut dense = DenseSchedulingSetBound::new();
+            dense.reset_problem(&classes, dense_bounds);
+            dense.set_members(wcg.resources.iter().map(ResourceType::class));
+            for op in graph.op_ids() {
+                dense.set_row(op, wcg.resources_for(op).into_iter());
+            }
+
+            for priority in [SchedulePriority::CriticalPath, SchedulePriority::InputOrder] {
+                assert_same_schedule(priority, &graph, &latencies, Unbounded::new, "unbounded");
+                assert_same_schedule(
+                    priority,
+                    &graph,
+                    &latencies,
+                    || PerClassBound::new(classes.clone(), class_bounds.clone()),
+                    "per-class bound",
+                );
+                assert_same_schedule(
+                    priority,
+                    &graph,
+                    &latencies,
+                    || PerInstanceExclusive::new(binding.clone(), instances),
+                    "per-instance exclusive",
+                );
+                dense.reset_loads();
+                let live = ListScheduler::new(priority).schedule(&graph, &latencies, &mut dense);
+                dense.reset_loads();
+                let frozen = list_schedule(priority, &graph, &latencies, &mut dense);
+                prop_assert_eq!(live, frozen, "dense scheduling-set bound under {:?}", priority);
+            }
+        }
+    }
 
     /// The oracle agrees with the live allocator on a quick sample (the
     /// exhaustive identity proptest lives in `tests/optimization_identity.rs`).

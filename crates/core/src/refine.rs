@@ -22,6 +22,8 @@ use mwl_wcg::WordlengthCompatibilityGraph;
 /// is allocation-free in the steady state.
 #[derive(Debug, Default)]
 pub(crate) struct RefineScratch {
+    /// Bound operations sorted by `(instance, start, id)`.
+    by_instance: Vec<u32>,
     succ: Vec<Vec<u32>>,
     pred: Vec<Vec<u32>>,
     indegree: Vec<u32>,
@@ -82,20 +84,35 @@ fn bound_critical_path_into(
         scratch.succ[e.from.index()].push(e.to.index() as u32);
         scratch.pred[e.to.index()].push(e.from.index() as u32);
     }
-    for i in 0..n {
-        for j in 0..n {
-            if i == j || binding[i] != binding[j] || binding[i] == usize::MAX {
-                continue;
-            }
-            let oi = OpId::new(i as u32);
-            let oj = OpId::new(j as u32);
-            if schedule.start(oi) + bound_latencies.get(oi) == schedule.start(oj)
-                && !scratch.succ[i].contains(&(j as u32))
-            {
-                scratch.succ[i].push(j as u32);
-                scratch.pred[j].push(i as u32);
+    // Binding edges: within one instance, the operations starting exactly
+    // when `i`'s bound latency ends form a contiguous run of the
+    // start-sorted group, found by binary search.  A `BindSelect` binding
+    // keeps one instance's intervals disjoint, so the run is at most the
+    // next operation.
+    let start = |i: u32| schedule.start(OpId::new(i));
+    scratch.by_instance.clear();
+    scratch
+        .by_instance
+        .extend((0..n as u32).filter(|&i| binding[i as usize] != usize::MAX));
+    scratch
+        .by_instance
+        .sort_unstable_by_key(|&i| (binding[i as usize], start(i), i));
+    let mut lo = 0;
+    while lo < scratch.by_instance.len() {
+        let instance = binding[scratch.by_instance[lo] as usize];
+        let len = scratch.by_instance[lo..].partition_point(|&i| binding[i as usize] == instance);
+        let group = &scratch.by_instance[lo..lo + len];
+        for &i in group {
+            let ready = start(i) + bound_latencies.get(OpId::new(i));
+            let first = group.partition_point(|&j| start(j) < ready);
+            for &j in group[first..].iter().take_while(|&&j| start(j) == ready) {
+                if i != j && !scratch.succ[i as usize].contains(&j) {
+                    scratch.succ[i as usize].push(j);
+                    scratch.pred[j as usize].push(i);
+                }
             }
         }
+        lo += len;
     }
 
     // Topological order of the augmented DAG (it is acyclic: both edge kinds
@@ -287,8 +304,12 @@ fn deletion_proportion(wcg: &WordlengthCompatibilityGraph, op: OpId) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mwl_model::{OpShape, SequencingGraphBuilder, SonicCostModel};
-    use mwl_sched::asap;
+    use crate::bind::{bind_select, BindSelectOptions};
+    use mwl_model::{CostModel, OpShape, ResourceClass, SequencingGraphBuilder, SonicCostModel};
+    use mwl_sched::{asap, ListScheduler, PerClassBound};
+    use mwl_tgff::{GraphShape, TgffConfig, TgffGenerator};
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     /// Two independent multiplications bound to one shared instance, followed
     /// by an addition that depends on the first multiplication only.
@@ -446,6 +467,114 @@ mod tests {
         let chosen =
             select_refinement_op(&g, &wcg, &schedule, &upper, &bound, &binding, 6).unwrap();
         assert_eq!(chosen, o1);
+    }
+
+    /// The bound critical path with the binding edges found by testing
+    /// every ordered pair of operations.
+    fn naive_bound_critical_path(
+        graph: &SequencingGraph,
+        schedule: &Schedule,
+        bound_latencies: &OpLatencies,
+        binding: &[usize],
+    ) -> Vec<OpId> {
+        let n = graph.len();
+        let lat = |i: usize| bound_latencies.get(OpId::new(i as u32));
+        let start = |i: usize| schedule.start(OpId::new(i as u32));
+        let mut succ: Vec<Vec<usize>> = vec![Vec::new(); n];
+        let mut pred: Vec<Vec<usize>> = vec![Vec::new(); n];
+        for e in graph.edges() {
+            succ[e.from.index()].push(e.to.index());
+            pred[e.to.index()].push(e.from.index());
+        }
+        for i in 0..n {
+            for j in 0..n {
+                if i != j
+                    && binding[i] == binding[j]
+                    && binding[i] != usize::MAX
+                    && start(i) + lat(i) == start(j)
+                    && !succ[i].contains(&j)
+                {
+                    succ[i].push(j);
+                    pred[j].push(i);
+                }
+            }
+        }
+        // Longest paths by relaxation to a fixed point (the augmented graph
+        // is acyclic, so `n` rounds suffice).
+        let mut asap: Vec<Cycles> = vec![0; n];
+        for _ in 0..n {
+            for v in 0..n {
+                for &p in &pred[v] {
+                    asap[v] = asap[v].max(asap[p] + lat(p));
+                }
+            }
+        }
+        let deadline = (0..n).map(|i| asap[i] + lat(i)).max().unwrap_or(0);
+        let mut alap_end = vec![deadline; n];
+        for _ in 0..n {
+            for v in 0..n {
+                for &s in &succ[v] {
+                    alap_end[v] = alap_end[v].min(alap_end[s] - lat(s));
+                }
+            }
+        }
+        (0..n)
+            .filter(|&i| asap[i] == alap_end[i] - lat(i))
+            .map(|i| OpId::new(i as u32))
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+        /// The sorted-neighbour binding edges give the same bound critical
+        /// path as the pairwise scan, on `BindSelect` bindings of graphs
+        /// list-scheduled under tight per-class bounds (which serialise
+        /// operations back to back on shared instances).
+        #[test]
+        fn bound_critical_path_matches_pairwise_binding_edges(
+            shape in prop_oneof![
+                Just(GraphShape::Layered),
+                Just(GraphShape::Wide),
+                Just(GraphShape::Deep),
+                Just(GraphShape::Diamond),
+            ],
+            ops in 1usize..=130,
+            seed in 0u64..=5000,
+            units in 1usize..=3,
+        ) {
+            let config = TgffConfig::with_ops(ops).shape(shape);
+            let g = TgffGenerator::new(config, seed).generate();
+            let cost = SonicCostModel::default();
+            let mut wcg = WordlengthCompatibilityGraph::new(&g, &cost);
+            let upper = wcg.upper_bound_latencies();
+            let classes = g
+                .operations()
+                .iter()
+                .map(|o| ResourceClass::for_kind(o.kind()))
+                .collect();
+            let bounds = BTreeMap::from([
+                (ResourceClass::Multiplier, units),
+                (ResourceClass::Adder, units),
+            ]);
+            let schedule = ListScheduler::default()
+                .schedule(&g, &upper, PerClassBound::new(classes, bounds))
+                .expect("positive bounds are feasible");
+            wcg.attach_schedule(&schedule, &upper);
+            let instances = bind_select(&wcg, BindSelectOptions::default()).expect("binds");
+            let mut binding = vec![usize::MAX; g.len()];
+            let mut bound = upper.clone();
+            for (k, inst) in instances.iter().enumerate() {
+                for &op in inst.ops() {
+                    binding[op.index()] = k;
+                    bound.set(op, cost.latency(&inst.resource()));
+                }
+            }
+            prop_assert_eq!(
+                bound_critical_path(&g, &schedule, &bound, &binding),
+                naive_bound_critical_path(&g, &schedule, &bound, &binding)
+            );
+        }
     }
 
     #[test]

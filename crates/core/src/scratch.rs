@@ -93,12 +93,13 @@ impl AllocScratch {
     }
 }
 
-/// Reusable buffers of Algorithm `BindSelect`: the covered-operation map,
-/// the per-resource chain computation and the clique-growth bitsets.
+/// Reusable buffers of Algorithm `BindSelect`: the per-resource chain
+/// computation, the uncovered-operation mask and the clique-growth bitsets.
 #[derive(Debug, Default)]
 pub(crate) struct BindScratch {
-    /// Covered flag per operation.
-    pub(crate) covered: Vec<bool>,
+    /// Chain length per resource from an earlier covering round of the
+    /// current call — the tighter half of the pre-skip bound.
+    pub(crate) chain_len: Vec<usize>,
     /// Longest-chain DP tables shared across resources.
     pub(crate) chain: ChainScratch,
     /// Chain under evaluation for the current resource.
@@ -117,7 +118,7 @@ pub(crate) struct BindScratch {
     /// Union bitset of the clique-growth step.
     pub(crate) union_mask: Vec<u64>,
     /// Bitset of not-yet-covered operations, maintained across covering
-    /// rounds to drive the popcount pre-skip.
+    /// rounds: the chain candidates and the popcount pre-skip.
     pub(crate) uncovered_mask: Vec<u64>,
     /// Number of active cliques in the pooled arrays after the last
     /// [`crate::bind::bind_select_with_scratch`] run.

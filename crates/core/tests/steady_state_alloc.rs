@@ -3,8 +3,9 @@
 //! The hot-path rewrite promises that a warm [`AllocScratch`] solves each
 //! graph without *growing*: after warm-up, every repeat of the same job
 //! performs exactly the same (output-only) allocations — the kernels
-//! themselves (`max_chain_into`, `is_chain`, the mask primitives, dense
-//! admits) run allocation-free on warm buffers.
+//! themselves (`attach_schedule`, `max_chain_into`, `is_chain`, the mask
+//! primitives, dense admits) run allocation-free on warm buffers, and the
+//! list scheduler allocates only the schedule it returns.
 //!
 //! Everything lives in one `#[test]` so the global counter is never read
 //! concurrently by a second libtest thread.
@@ -14,7 +15,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use mwl_core::{AllocConfig, AllocScratch, DpAllocator};
 use mwl_model::{CostModel, OpId, ResourceClass, SonicCostModel};
-use mwl_sched::{asap, DenseSchedulingSetBound, ResourceConstraint};
+use mwl_sched::{
+    asap, DenseSchedulingSetBound, ListScheduler, ResourceConstraint, SchedScratch, Schedule,
+    SchedulePriority,
+};
 use mwl_tgff::{TgffConfig, TgffGenerator};
 use mwl_wcg::{ChainScratch, WordlengthCompatibilityGraph};
 
@@ -97,13 +101,16 @@ fn warm_scratch_allocation_count_is_flat_and_kernels_are_allocation_free() {
     let schedule = asap(&graph, &upper);
     wcg.attach_schedule(&schedule, &upper);
 
-    let covered = vec![false; graph.len()];
+    let mut uncovered = vec![0u64; wcg.op_mask_words()];
+    for i in 0..graph.len() {
+        uncovered[i / 64] |= 1 << (i % 64);
+    }
     let mut chain_scratch = ChainScratch::default();
     let mut chain = Vec::new();
     for r in 0..wcg.resources().len() {
-        wcg.max_chain_into(r, &covered, &mut chain_scratch, &mut chain); // warm
+        wcg.max_chain_into(r, &uncovered, &mut chain_scratch, &mut chain); // warm
         let (delta, ()) = allocations_during(|| {
-            wcg.max_chain_into(r, &covered, &mut chain_scratch, &mut chain);
+            wcg.max_chain_into(r, &uncovered, &mut chain_scratch, &mut chain);
         });
         assert_eq!(delta, 0, "max_chain_into allocated on warm scratch (r={r})");
     }
@@ -151,4 +158,55 @@ fn warm_scratch_allocation_count_is_flat_and_kernels_are_allocation_free() {
         admitted
     });
     assert_eq!(delta, 0, "dense admission probes allocated");
+
+    // A warm list schedule allocates only its returned start table, and a
+    // warm schedule attachment (intervals, rank orders, compatibility rows)
+    // allocates nothing — on one- and multi-word problems alike.
+    for ops in [12usize, 130] {
+        let graph = TgffGenerator::new(TgffConfig::with_ops(ops), 77).generate();
+        let mut wcg = WordlengthCompatibilityGraph::new(&graph, &cost);
+        let upper = wcg.upper_bound_latencies();
+        let op_classes: Vec<ResourceClass> = graph
+            .operations()
+            .iter()
+            .map(|o| ResourceClass::for_kind(o.kind()))
+            .collect();
+        // Every member's peak is at most its summed shares, so a class
+        // bound of the class's operation count always admits eventually.
+        let mut class_bounds = [None; ResourceClass::COUNT];
+        for class in &op_classes {
+            *class_bounds[class.index()].get_or_insert(0) += 1;
+        }
+        let mut dense = DenseSchedulingSetBound::new();
+        dense.reset_problem(&op_classes, class_bounds);
+        dense.set_members(wcg.resources().iter().map(|r| r.class()));
+        for op in graph.op_ids() {
+            dense.set_row(op, wcg.candidates(op));
+        }
+        let mut sched = SchedScratch::new();
+        for priority in [SchedulePriority::CriticalPath, SchedulePriority::InputOrder] {
+            let scheduler = ListScheduler::new(priority);
+            let mut run = || {
+                dense.reset_loads();
+                scheduler
+                    .schedule_with_scratch(&graph, &upper, &mut dense, &mut sched)
+                    .expect("schedulable")
+            };
+            let schedule = run(); // warm
+            let (output_only, _) = allocations_during(|| Schedule::from_vec(vec![0; ops]));
+            let (delta, again) = allocations_during(&mut run);
+            assert_eq!(again, schedule);
+            assert_eq!(
+                delta, output_only,
+                "schedule_with_scratch allocated working buffers ({ops} ops, {priority:?})"
+            );
+
+            wcg.attach_schedule(&schedule, &upper); // warm
+            let (delta, ()) = allocations_during(|| wcg.attach_schedule(&schedule, &upper));
+            assert_eq!(
+                delta, 0,
+                "attach_schedule allocated on warm buffers ({ops} ops)"
+            );
+        }
+    }
 }

@@ -7,6 +7,9 @@
 //! per-class bound of Eqn (2) or the scheduling-set constraint of Eqn (3) —
 //! still admits them.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use mwl_model::{Cycles, OpId, SequencingGraph};
 
 use crate::constraint::ResourceConstraint;
@@ -32,6 +35,11 @@ pub enum SchedulePriority {
 /// offers the ready operations (all predecessors finished) to the
 /// [`ResourceConstraint`] in priority order and places those that are
 /// admitted.  Time then advances to the next completion event.
+///
+/// The walk is event-driven: a count of unfinished predecessors per
+/// operation, a min-heap of completion times and a ready list kept sorted
+/// by priority across steps, so a step costs the operations it touches
+/// rather than a rescan of the whole graph.
 ///
 /// # Examples
 ///
@@ -70,7 +78,13 @@ pub struct ListScheduler {
 pub struct SchedScratch {
     start: Vec<Option<Cycles>>,
     priority: Vec<Cycles>,
+    /// Ready, unplaced operations in priority order.
     ready: Vec<OpId>,
+    /// Unfinished predecessors per operation.
+    pending: Vec<u32>,
+    /// `(completion time, op)` of every placed operation whose completion
+    /// has not been processed yet.
+    completions: BinaryHeap<Reverse<(Cycles, u32)>>,
     dfs_state: Vec<u8>,
     dfs_stack: Vec<OpId>,
 }
@@ -135,74 +149,76 @@ impl ListScheduler {
             start,
             priority,
             ready,
+            pending,
+            completions,
             dfs_state,
             dfs_stack,
         } = scratch;
         self.priority_values_into(graph, latencies, priority, dfs_state, dfs_stack);
+        let key = |o: OpId| self.ready_key(o, priority);
         start.clear();
         start.resize(n, None);
+        pending.clear();
+        pending.extend(graph.op_ids().map(|o| graph.predecessors(o).len() as u32));
+        completions.clear();
+        ready.clear();
+        ready.extend(graph.op_ids().filter(|o| pending[o.index()] == 0));
+        ready.sort_unstable_by_key(|&o| key(o));
 
         let mut scheduled = 0usize;
         let mut step: Cycles = 0;
 
         while scheduled < n {
-            // Ready operations: unscheduled, all predecessors finished by `step`.
-            ready.clear();
-            ready.extend(
-                graph
-                    .op_ids()
-                    .filter(|&o| start[o.index()].is_none())
-                    .filter(|&o| {
-                        graph.predecessors(o).iter().all(|&p| {
-                            start[p.index()]
-                                .map(|s| s + latencies.get(p) <= step)
-                                .unwrap_or(false)
-                        })
-                    }),
-            );
-            self.sort_ready(ready, priority);
-
-            let mut placed_any = false;
-            for &op in ready.iter() {
-                let lat = latencies.get(op);
-                if constraint.admits(op, step, lat) {
-                    constraint.commit(op, step, lat);
-                    start[op.index()] = Some(step);
-                    scheduled += 1;
-                    placed_any = true;
+            // Operations whose last predecessor completes by `step` join the
+            // ready list at their priority position.
+            while let Some(&Reverse((end, op))) = completions.peek() {
+                if end > step {
+                    break;
+                }
+                completions.pop();
+                for &succ in graph.successors(OpId::new(op)) {
+                    pending[succ.index()] -= 1;
+                    if pending[succ.index()] == 0 {
+                        let k = key(succ);
+                        let at = ready.partition_point(|&o| key(o) < k);
+                        ready.insert(at, succ);
+                    }
                 }
             }
+
+            // Offer every ready operation in priority order; `retain` keeps
+            // the order of the ones left waiting.
+            ready.retain(|&op| {
+                let lat = latencies.get(op);
+                if !constraint.admits(op, step, lat) {
+                    return true;
+                }
+                constraint.commit(op, step, lat);
+                start[op.index()] = Some(step);
+                completions.push(Reverse((step + lat, op.index() as u32)));
+                scheduled += 1;
+                false
+            });
 
             if scheduled == n {
                 break;
             }
 
-            // Advance to the next event: the earliest completion strictly
-            // after `step`, or `step + 1` if something was just placed (its
-            // completion is such an event anyway).
-            let next_event = graph
-                .op_ids()
-                .filter_map(|o| start[o.index()].map(|s| s + latencies.get(o)))
-                .filter(|&e| e > step)
-                .min();
-
-            match next_event {
-                Some(e) => step = e,
-                None => {
-                    if placed_any {
-                        step += 1;
-                        continue;
-                    }
-                    let blocked = ready
-                        .iter()
-                        .copied()
-                        .find(|&o| !constraint.admissible_at_all(o, latencies.get(o)))
-                        .or_else(|| ready.first().copied())
-                        .or_else(|| graph.op_ids().find(|&o| start[o.index()].is_none()))
-                        .expect("some operation remains unscheduled");
-                    return Err(SchedError::InfeasibleResourceBound { op: blocked });
-                }
-            }
+            // Advance to the next completion.  Latencies are positive, so
+            // every placement at `step` completes strictly later; an empty
+            // heap means nothing is running and nothing was placed, and no
+            // later step can change the constraint's answer.
+            let Some(&Reverse((next_event, _))) = completions.peek() else {
+                let blocked = ready
+                    .iter()
+                    .copied()
+                    .find(|&o| !constraint.admissible_at_all(o, latencies.get(o)))
+                    .or_else(|| ready.first().copied())
+                    .or_else(|| graph.op_ids().find(|&o| start[o.index()].is_none()))
+                    .expect("some operation remains unscheduled");
+                return Err(SchedError::InfeasibleResourceBound { op: blocked });
+            };
+            step = next_event;
         }
 
         Ok(Schedule::from_vec(
@@ -270,12 +286,11 @@ impl ListScheduler {
         }
     }
 
-    fn sort_ready(&self, ready: &mut [OpId], priority: &[Cycles]) {
+    /// Ready-list order: decreasing critical path then id, or id alone.
+    fn ready_key(&self, op: OpId, priority: &[Cycles]) -> (Reverse<Cycles>, OpId) {
         match self.priority {
-            SchedulePriority::CriticalPath => {
-                ready.sort_by_key(|&o| (std::cmp::Reverse(priority[o.index()]), o));
-            }
-            SchedulePriority::InputOrder => ready.sort_unstable(),
+            SchedulePriority::CriticalPath => (Reverse(priority[op.index()]), op),
+            SchedulePriority::InputOrder => (Reverse(0), op),
         }
     }
 }

@@ -106,11 +106,13 @@ impl Iterator for Ones<'_> {
 }
 
 /// Reusable buffers for
-/// [`WordlengthCompatibilityGraph::max_chain_into`]: the candidate list and
-/// the longest-chain dynamic-programming tables.
+/// [`WordlengthCompatibilityGraph::max_chain_into`]: the candidate set in
+/// start-rank and end-rank space, and the longest-chain tables indexed by
+/// start rank.
 #[derive(Debug, Default)]
 pub struct ChainScratch {
-    candidates: Vec<OpId>,
+    start_mask: Vec<u64>,
+    end_mask: Vec<u64>,
     best: Vec<u32>,
     prev: Vec<u32>,
 }
@@ -177,8 +179,17 @@ pub struct WordlengthCompatibilityGraph {
     /// schedule is attached.
     compat: Vec<u64>,
     /// All operations sorted by `(start, end, id)` under the attached
-    /// schedule — the shared candidate order of every `max_chain` query.
+    /// schedule — the candidate order of the chain DP.
     start_order: Vec<OpId>,
+    /// All operations sorted by `(end, start, id)` under the attached
+    /// schedule — the order in which the chain sweep admits predecessors.
+    end_order: Vec<OpId>,
+    /// Position of each operation in `start_order`.
+    start_rank: Vec<u32>,
+    /// Position of each operation in `end_order`.
+    end_rank: Vec<u32>,
+    /// Running operation mask of the compatibility-row sweeps.
+    sweep_mask: Vec<u64>,
     /// Unrefined copy of `upper`, captured by
     /// [`snapshot_pristine`](Self::snapshot_pristine).
     pristine_upper: Vec<Cycles>,
@@ -207,6 +218,10 @@ impl Default for WordlengthCompatibilityGraph {
             resource_cols: Vec::new(),
             compat: Vec::new(),
             start_order: Vec::new(),
+            end_order: Vec::new(),
+            start_rank: Vec::new(),
+            end_rank: Vec::new(),
+            sweep_mask: Vec::new(),
             pristine_upper: Vec::new(),
             pristine_op_rows: Vec::new(),
             pristine_resource_cols: Vec::new(),
@@ -537,32 +552,73 @@ impl WordlengthCompatibilityGraph {
     }
     /// Attaches schedule information, creating the `C` edges: `(o1, o2) ∈ C`
     /// iff `o1` completes no later than `o2` starts under the given start
-    /// times and latency table.  The interval buffer is reused, so repeated
-    /// attach/detach cycles in the allocator loop are allocation-free.
+    /// times and latency table.  Latencies must be at least one cycle (every
+    /// scheduler enforces this), so no interval is empty.
+    ///
+    /// Each operation's compatibility row is the union of two sweep masks:
+    /// the operations ending by its start (a prefix of the end order) and
+    /// the operations starting at or after its end (a suffix of the start
+    /// order) — `O(|O|²/64)` word operations instead of `|O|²` interval
+    /// tests.  Every buffer is reused, so repeated attach/detach cycles in
+    /// the allocator loop are allocation-free.
     pub fn attach_schedule(&mut self, schedule: &Schedule, latencies: &OpLatencies) {
+        let n = self.num_ops();
         self.intervals.clear();
-        self.intervals.extend((0..self.num_ops()).map(|i| {
+        self.intervals.extend((0..n).map(|i| {
             let op = OpId::new(i as u32);
             (schedule.start(op), schedule.end(op, latencies))
         }));
-        let n = self.num_ops();
+        debug_assert!(
+            self.intervals.iter().all(|&(start, end)| start < end),
+            "operation latencies must be at least one cycle"
+        );
         let intervals = &self.intervals;
         self.start_order.clear();
         self.start_order.extend((0..n).map(|i| OpId::new(i as u32)));
         self.start_order
             .sort_unstable_by_key(|o| (intervals[o.index()].0, intervals[o.index()].1, *o));
+        self.end_order.clear();
+        self.end_order.extend((0..n).map(|i| OpId::new(i as u32)));
+        self.end_order
+            .sort_unstable_by_key(|o| (intervals[o.index()].1, intervals[o.index()].0, *o));
+        self.start_rank.resize(n, 0);
+        self.end_rank.resize(n, 0);
+        for (rank, (s, e)) in self.start_order.iter().zip(&self.end_order).enumerate() {
+            self.start_rank[s.index()] = rank as u32;
+            self.end_rank[e.index()] = rank as u32;
+        }
+
+        let words = self.op_words;
         self.compat.clear();
-        self.compat.resize(n * self.op_words, 0);
-        for i in 0..n {
-            let (start_i, end_i) = self.intervals[i];
-            for j in 0..n {
-                if i == j {
-                    continue;
-                }
-                let (start_j, end_j) = self.intervals[j];
-                if end_i <= start_j || end_j <= start_i {
-                    set_bit(&mut self.compat[i * self.op_words..], j);
-                }
+        self.compat.resize(n * words, 0);
+        // Prefix sweep in start order: row `o` starts as the operations
+        // that end no later than `o` starts.
+        self.sweep_mask.clear();
+        self.sweep_mask.resize(words, 0);
+        let mut ended = 0;
+        for &o in &self.start_order {
+            let start = intervals[o.index()].0;
+            while ended < n && intervals[self.end_order[ended].index()].1 <= start {
+                set_bit(&mut self.sweep_mask, self.end_order[ended].index());
+                ended += 1;
+            }
+            self.compat[o.index() * words..][..words].copy_from_slice(&self.sweep_mask);
+        }
+        // Suffix sweep in reverse end order: add the operations that start
+        // no earlier than `o` ends.
+        self.sweep_mask.fill(0);
+        let mut unstarted = n;
+        for &o in self.end_order.iter().rev() {
+            let end = intervals[o.index()].1;
+            while unstarted > 0 && intervals[self.start_order[unstarted - 1].index()].0 >= end {
+                unstarted -= 1;
+                set_bit(&mut self.sweep_mask, self.start_order[unstarted].index());
+            }
+            for (c, &m) in self.compat[o.index() * words..][..words]
+                .iter_mut()
+                .zip(&self.sweep_mask)
+            {
+                *c |= m;
             }
         }
         self.scheduled = true;
@@ -688,15 +744,28 @@ impl WordlengthCompatibilityGraph {
     /// Panics if no schedule is attached.
     #[must_use]
     pub fn max_chain(&self, resource: ResourceIndex, covered: &[bool]) -> Vec<OpId> {
+        let mut uncovered = vec![0u64; self.op_words];
+        for (i, _) in covered.iter().enumerate().filter(|(_, &c)| !c) {
+            set_bit(&mut uncovered, i);
+        }
         let mut scratch = ChainScratch::default();
         let mut chain = Vec::new();
-        self.max_chain_into(resource, covered, &mut scratch, &mut chain);
+        self.max_chain_into(resource, &uncovered, &mut scratch, &mut chain);
         chain
     }
 
-    /// As [`max_chain`](Self::max_chain), but writes the chain into a
-    /// reusable buffer — the allocation-free form `BindSelect` runs once per
-    /// resource per covering round.
+    /// As [`max_chain`](Self::max_chain), but takes the uncovered operations
+    /// as a mask (stride [`op_mask_words`](Self::op_mask_words)) and writes
+    /// the chain into a reusable buffer — the allocation-free form
+    /// `BindSelect` runs once per resource per covering round.
+    ///
+    /// The candidates `O(r) ∧ uncovered` are scattered into start-rank and
+    /// end-rank masks, so both orders come out of a bit scan without a sort.
+    /// One sweep in start order then admits, in end order, every candidate
+    /// that ends by the current start and keeps the running best chain
+    /// length among them: `O(|O(r)| + |O|/64)` per call.  Ties resolve as in
+    /// the quadratic DP over the start order: the predecessor is the
+    /// lowest-ranked maximiser and the tail the last maximum.
     ///
     /// # Panics
     ///
@@ -704,52 +773,71 @@ impl WordlengthCompatibilityGraph {
     pub fn max_chain_into(
         &self,
         resource: ResourceIndex,
-        covered: &[bool],
+        uncovered: &[u64],
         scratch: &mut ChainScratch,
         chain: &mut Vec<OpId>,
     ) {
         chain.clear();
         let intervals = self.intervals("max_chain");
         let ChainScratch {
-            candidates,
+            start_mask,
+            end_mask,
             best,
             prev,
         } = scratch;
-        // `start_order` is sorted by the total key `(start, end, id)`, so
-        // filtering it by the resource column yields the uncovered members
-        // of `O(r)` in DP order without a sort.
+        start_mask.clear();
+        start_mask.resize(self.op_words, 0);
+        end_mask.clear();
+        end_mask.resize(self.op_words, 0);
         let col = self.resource_col(resource);
-        candidates.clear();
-        candidates.extend(
-            self.start_order
-                .iter()
-                .copied()
-                .filter(|o| !covered[o.index()] && bit_is_set(col, o.index())),
-        );
-        let k = candidates.len();
-        if k == 0 {
-            return;
-        }
-        // best[i]: length of the longest chain ending at candidate i.
-        best.clear();
-        best.resize(k, 1);
-        prev.clear();
-        prev.resize(k, u32::MAX);
-        for i in 0..k {
-            for j in 0..i {
-                let end_j = intervals[candidates[j].index()].1;
-                let start_i = intervals[candidates[i].index()].0;
-                if end_j <= start_i && best[j] + 1 > best[i] {
-                    best[i] = best[j] + 1;
-                    prev[i] = j as u32;
-                }
+        for (w, (&c, &u)) in col.iter().zip(uncovered).enumerate() {
+            let mut bits = c & u;
+            while bits != 0 {
+                let o = w * WORD_BITS + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                set_bit(start_mask, self.start_rank[o] as usize);
+                set_bit(end_mask, self.end_rank[o] as usize);
             }
         }
-        let mut tail = (0..k).max_by_key(|&i| best[i]).expect("k > 0");
-        chain.push(candidates[tail]);
+        // best[s] / prev[s]: longest chain ending at the candidate of start
+        // rank `s`, and its predecessor's start rank.  An entry is written
+        // before it is read: a candidate that ends by another's start also
+        // starts before it (latencies are at least one cycle).
+        let n = self.num_ops();
+        best.resize(n, 0);
+        prev.resize(n, u32::MAX);
+        let mut ended = ones(end_mask).peekable();
+        let (mut run_best, mut run_rank) = (0u32, u32::MAX);
+        let (mut tail, mut tail_best) = (None, 0u32);
+        for s in ones(start_mask) {
+            let start = intervals[self.start_order[s].index()].0;
+            while let Some(&e) = ended.peek() {
+                let op = self.end_order[e].index();
+                if intervals[op].1 > start {
+                    break;
+                }
+                ended.next();
+                let rank = self.start_rank[op];
+                let length = best[rank as usize];
+                if length > run_best || (length == run_best && rank < run_rank) {
+                    run_best = length;
+                    run_rank = rank;
+                }
+            }
+            best[s] = run_best + 1;
+            prev[s] = run_rank;
+            if best[s] >= tail_best {
+                tail_best = best[s];
+                tail = Some(s);
+            }
+        }
+        let Some(mut tail) = tail else {
+            return;
+        };
+        chain.push(self.start_order[tail]);
         while prev[tail] != u32::MAX {
             tail = prev[tail] as usize;
-            chain.push(candidates[tail]);
+            chain.push(self.start_order[tail]);
         }
         chain.reverse();
     }

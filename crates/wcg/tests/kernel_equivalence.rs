@@ -3,8 +3,8 @@
 //! first principles returns — an `(op, resource)` edge set, sort-based
 //! chain tests and a quadratic longest-chain DP — across all `GraphShape` ×
 //! `WidthProfile` families, on graphs below and above one 64-bit word of
-//! operations, through refinement, and regardless of whether the chain
-//! scratch is warm or fresh.
+//! operations, on tie-heavy hand-built schedules, through refinement, and
+//! regardless of whether the chain scratch is warm or fresh.
 //!
 //! The allocator-level identity against the frozen reference lives in
 //! `mwl_core/tests/optimization_identity.rs`.
@@ -13,8 +13,10 @@ use std::collections::BTreeSet;
 
 use proptest::prelude::*;
 
-use mwl_model::{Area, CostModel, Cycles, OpId, SequencingGraph, SonicCostModel};
-use mwl_sched::{asap, OpLatencies};
+use mwl_model::{
+    Area, CostModel, Cycles, OpId, OpShape, SequencingGraph, SequencingGraphBuilder, SonicCostModel,
+};
+use mwl_sched::{asap, OpLatencies, Schedule};
 use mwl_tgff::{GraphShape, TgffConfig, TgffGenerator, WidthProfile};
 use mwl_wcg::{ChainScratch, WordlengthCompatibilityGraph};
 
@@ -91,7 +93,7 @@ impl Naive {
         }
     }
 
-    fn attach(&mut self, schedule: &mwl_sched::Schedule, latencies: &OpLatencies) {
+    fn attach(&mut self, schedule: &Schedule, latencies: &OpLatencies) {
         self.intervals = (0..self.num_ops)
             .map(|i| {
                 let op = OpId::new(i as u32);
@@ -239,6 +241,36 @@ fn mask_of(ops: &[OpId], words: usize) -> Vec<u64> {
     mask
 }
 
+/// `max_chain_into` produces the naive DP's chain for every resource, with
+/// nothing covered and then for random covered sets, through one warm
+/// scratch; `max_chain` agrees too.
+fn chains_match_naive(wcg: &WordlengthCompatibilityGraph, naive: &Naive, covered_seed: u64) {
+    let n = wcg.num_ops();
+    let words = wcg.op_mask_words();
+    let mut state = covered_seed;
+    let mut warm = ChainScratch::default();
+    let mut warm_chain = Vec::new();
+    for round in 0..4 {
+        let mut covered = vec![false; n];
+        if round > 0 {
+            for op in random_subset(n, &mut state) {
+                covered[op.index()] = true;
+            }
+        }
+        let uncovered: Vec<OpId> = (0..n as u32)
+            .map(OpId::new)
+            .filter(|o| !covered[o.index()])
+            .collect();
+        let uncovered = mask_of(&uncovered, words);
+        for r in 0..wcg.resources().len() {
+            let expected = naive.max_chain(r, &covered);
+            prop_assert_eq!(&wcg.max_chain(r, &covered), &expected);
+            wcg.max_chain_into(r, &uncovered, &mut warm, &mut warm_chain);
+            prop_assert_eq!(&warm_chain, &expected);
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
@@ -316,23 +348,41 @@ proptest! {
         let graph = build(&case);
         let (wcg, naive) = scheduled(&graph);
 
-        let mut state = covered_seed;
-        let mut warm = ChainScratch::default();
-        let mut warm_chain = Vec::new();
-        for round in 0..4 {
-            let mut covered = vec![false; graph.len()];
-            if round > 0 {
-                for op in random_subset(graph.len(), &mut state) {
-                    covered[op.index()] = true;
-                }
-            }
-            for r in 0..wcg.resources().len() {
-                let expected = naive.max_chain(r, &covered);
-                prop_assert_eq!(&wcg.max_chain(r, &covered), &expected);
-                wcg.max_chain_into(r, &covered, &mut warm, &mut warm_chain);
-                prop_assert_eq!(&warm_chain, &expected);
+        chains_match_naive(&wcg, &naive, covered_seed);
+    }
+
+    /// The end-order chain sweep keeps the quadratic DP's tie rules — the
+    /// lowest-ranked predecessor among equal-length maximisers, the last
+    /// maximum as the tail — on schedules built to tie: latencies of one or
+    /// two cycles over a handful of start times, so many operations share a
+    /// start, an end, or both.  Every compatibility row must also equal the
+    /// pairwise interval-disjointness test.
+    #[test]
+    fn tie_heavy_chains_and_rows_match_naive(
+        ops in prop::collection::vec((0usize..3, 0u32..5, 1u32..=2), 1..=130),
+        covered_seed in any::<u64>(),
+    ) {
+        let mut b = SequencingGraphBuilder::new();
+        for &(width, _, _) in &ops {
+            let w = [8, 12, 16][width];
+            b.add_operation(OpShape::multiplier(w, w));
+        }
+        let graph = b.build().expect("independent operations");
+        let schedule = Schedule::from_vec(ops.iter().map(|&(_, start, _)| start).collect());
+        let latencies = OpLatencies::from_vec(ops.iter().map(|&(_, _, lat)| lat).collect());
+        let mut wcg = WordlengthCompatibilityGraph::new(&graph, &SonicCostModel::default());
+        let mut naive = Naive::new(&graph, &wcg);
+        wcg.attach_schedule(&schedule, &latencies);
+        naive.attach(&schedule, &latencies);
+
+        for a in graph.op_ids() {
+            for b in graph.op_ids().filter(|&b| b != a) {
+                let (ia, ib) = (naive.intervals[a.index()], naive.intervals[b.index()]);
+                let disjoint = ia.1 <= ib.0 || ib.1 <= ia.0;
+                prop_assert_eq!(wcg.is_chain(&[a, b]), disjoint, "row {:?} bit {:?}", a, b);
             }
         }
+        chains_match_naive(&wcg, &naive, covered_seed);
     }
 
     /// The mask-form clique-growth primitives agree with their scalar
