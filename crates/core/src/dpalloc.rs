@@ -15,7 +15,7 @@ use crate::datapath::Datapath;
 use crate::error::AllocError;
 use crate::merge::merge_instances_with_scratch;
 use crate::refine::select_refinement_op_with_scratch;
-use crate::scratch::AllocScratch;
+use crate::scratch::{AllocScratch, ReplayPass};
 use mwl_model::{CostModel, Cycles, OpId, ResourceClass, SequencingGraph};
 use mwl_obs::Stage;
 use mwl_sched::{
@@ -213,6 +213,7 @@ impl<'a> DpAllocator<'a> {
         graph: &SequencingGraph,
         scratch: &mut AllocScratch,
     ) -> Result<AllocOutcome, AllocError> {
+        scratch.replay.clear();
         let native = OpLatencies::from_fn(graph, |op| self.cost.native_latency(op.shape()));
         let minimum = critical_path_length(graph, &native);
         if self.config.latency_constraint < minimum {
@@ -335,6 +336,13 @@ impl<'a> DpAllocator<'a> {
     /// Eqn (3) constraint and list scheduler reuse their buffers across
     /// iterations.  Decisions are bit-identical to the frozen
     /// [`crate::reference`] loop.
+    ///
+    /// After a bound escalation the round starts by replaying the longest
+    /// prefix of the previous round's refining passes whose recorded bound
+    /// rejections all still reject under the raised bounds: those passes
+    /// would schedule, bind and refine exactly as before, so only their
+    /// refinement is applied.  Replayed passes count as refinements and
+    /// against `max_iterations`.
     fn try_with_bounds(
         &self,
         graph: &SequencingGraph,
@@ -350,10 +358,32 @@ impl<'a> DpAllocator<'a> {
         scratch
             .constraint
             .reset_problem(&scratch.op_classes, dense_bounds);
+
+        let replay_timer = scratch.obs.start();
+        let log = &mut scratch.replay;
+        debug_assert!(
+            log.passes.is_empty() || never_lower(&log.bounds, &dense_bounds),
+            "a bound escalation lowered a bound"
+        );
+        log.bounds = dense_bounds;
+        let replayed = log
+            .passes
+            .iter()
+            .take(self.config.max_iterations)
+            .take_while(|pass| pass.rejections.still_rejected_under(&dense_bounds))
+            .count();
+        log.passes.truncate(replayed);
+        log.replayed += replayed;
+        for pass in &log.passes {
+            scratch.wcg.refine_op(pass.op);
+        }
+        *refinements += replayed;
+        scratch.obs.stop(Stage::Refine, replay_timer);
+
         let mut members_valid = false;
         let mut last_refined: Option<OpId> = None;
 
-        for _ in 0..self.config.max_iterations {
+        for _ in replayed..self.config.max_iterations {
             let sched_timer = scratch.obs.start();
             scratch
                 .upper
@@ -456,6 +486,10 @@ impl<'a> DpAllocator<'a> {
                     *refinements += 1;
                     scratch.wcg.refine_op(op);
                     scratch.wcg.detach_schedule();
+                    scratch.replay.passes.push(ReplayPass {
+                        op,
+                        rejections: scratch.constraint.rejections(),
+                    });
                     last_refined = Some(op);
                     scratch.obs.stop(Stage::Refine, refine_timer);
                 }
@@ -474,6 +508,19 @@ impl<'a> DpAllocator<'a> {
             budget: self.config.max_iterations,
         }))
     }
+}
+
+/// Returns `true` if no class bound of `new` is below its bound in `old`
+/// (`None` = unbounded, above every finite bound).
+fn never_lower(
+    old: &[Option<usize>; ResourceClass::COUNT],
+    new: &[Option<usize>; ResourceClass::COUNT],
+) -> bool {
+    old.iter().zip(new).all(|(old, new)| match (old, new) {
+        (_, None) => true,
+        (None, Some(_)) => false,
+        (Some(old), Some(new)) => new >= old,
+    })
 }
 
 /// Positions `j` within the scheduling set `cover` whose resource has an
@@ -732,6 +779,32 @@ mod tests {
         assert_eq!(alloc.config().refinement, RefinementPolicy::FirstRefinable);
         assert!(!alloc.config().instance_merging);
         assert!(AllocConfig::new(9).instance_merging, "merging defaults on");
+    }
+
+    /// The escalation replay fires on a fixed escalating job and changes
+    /// nothing: a certificate that silently never certified would leave the
+    /// answer right but the count at zero.
+    #[test]
+    fn escalation_replay_fires_and_matches_the_reference() {
+        let c = cost();
+        let config = TgffConfig::with_ops(32).shape(mwl_tgff::GraphShape::Layered);
+        let g = TgffGenerator::new(config, 1).generate();
+        let config = AllocConfig::new(lambda_min(&g));
+        let mut scratch = AllocScratch::new();
+        let outcome = DpAllocator::new(&c, config.clone())
+            .allocate_with_scratch(&g, &mut scratch)
+            .unwrap();
+        assert!(outcome.bound_escalations >= 2);
+        assert!(
+            scratch.replay.replayed > 0,
+            "no pass was replayed across {} escalations",
+            outcome.bound_escalations
+        );
+        assert!(scratch.replay.replayed < outcome.refinements);
+        assert_eq!(
+            Ok(outcome),
+            crate::reference::allocate_with_stats(&c, &config, &g)
+        );
     }
 
     #[test]

@@ -17,7 +17,8 @@
 
 use mwl_model::{Cycles, OpId, ResourceClass};
 use mwl_sched::{
-    CoverScratch, DenseSchedulingSetBound, OpLatencies, PerInstanceExclusive, SchedScratch,
+    BoundRejections, CoverScratch, DenseSchedulingSetBound, OpLatencies, PerInstanceExclusive,
+    SchedScratch,
 };
 use mwl_wcg::{ChainScratch, WordlengthCompatibilityGraph};
 
@@ -78,6 +79,9 @@ pub struct AllocScratch {
     pub(crate) refine: crate::refine::RefineScratch,
     /// Merge-pass tables.
     pub(crate) merge: MergeScratch,
+    /// Refining passes of the last bound-escalation round, replayed by the
+    /// next round where the raised bounds provably change nothing.
+    pub(crate) replay: ReplayLog,
     /// Stage-level telemetry recorder.  Off by default; the driving layer
     /// switches it on and drains it *between* jobs — nothing it measures is
     /// ever read back by the allocator, so recording cannot perturb results
@@ -123,6 +127,40 @@ pub(crate) struct BindScratch {
     /// Number of active cliques in the pooled arrays after the last
     /// [`crate::bind::bind_select_with_scratch`] run.
     pub(crate) clique_count: usize,
+}
+
+/// The escalation replay log (see `docs/ARCHITECTURE.md`, "Escalation
+/// replay"): one entry per pass of the current round that ended in a
+/// refinement, in pass order.  Cleared at the start of every job, so it
+/// carries no state from one job to the next.
+#[derive(Debug, Default)]
+pub(crate) struct ReplayLog {
+    /// The logged passes; a later round overwrites the tail from its first
+    /// computed pass on.
+    pub(crate) passes: Vec<ReplayPass>,
+    /// The dense class bounds of the round that last used the log.
+    pub(crate) bounds: [Option<usize>; ResourceClass::COUNT],
+    /// Passes of the current job that were replayed instead of computed.
+    pub(crate) replayed: usize,
+}
+
+impl ReplayLog {
+    /// Forgets every logged pass; keeps the buffer's capacity.
+    pub(crate) fn clear(&mut self) {
+        self.passes.clear();
+        self.replayed = 0;
+    }
+}
+
+/// One logged pass: the operation it refined and the scheduler's bound
+/// rejections, which certify the pass for any bounds that still reject
+/// them all.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ReplayPass {
+    /// The operation whose wordlength edges the pass refined.
+    pub(crate) op: OpId,
+    /// The least rejected Eqn (3) total per class.
+    pub(crate) rejections: BoundRejections,
 }
 
 /// Reusable tables of the post-bind merging pass: the admissible

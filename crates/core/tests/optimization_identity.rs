@@ -9,12 +9,18 @@
 //! area, schedule, binding, instance list, merge count, refinement and
 //! escalation statistics, resource bounds — must be **bit-identical**, and
 //! so must every error.  Reusing one `AllocScratch` across jobs must be
-//! indistinguishable from using a fresh one per job.
+//! indistinguishable from using a fresh one per job.  Jobs that escalate
+//! their resource bounds are pinned separately, because the optimized loop
+//! replays certified passes across escalations where the reference
+//! restarts refinement from scratch.
 
 use proptest::prelude::*;
 
-use mwl_core::{reference, AllocConfig, AllocError, AllocOutcome, AllocScratch, DpAllocator};
+use mwl_core::{
+    reference, AllocConfig, AllocError, AllocOutcome, AllocScratch, DpAllocator, RefinementPolicy,
+};
 use mwl_model::{CostModel, SequencingGraph, SonicCostModel};
+use mwl_sched::SchedulePriority;
 use mwl_tgff::{GraphShape, TgffConfig, TgffGenerator, WidthProfile};
 
 /// One allocation problem drawn from the full scenario space.
@@ -163,4 +169,124 @@ fn graphs_past_64_ops_are_identical_too() {
             .validate(&problem.graph, &cost)
             .unwrap();
     }
+}
+
+/// Deterministic draws for the escalation cases (splitmix64).
+fn draw(state: &mut u64, bound: u64) -> u64 {
+    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    (z ^ (z >> 31)) % bound
+}
+
+/// Near-λ_min problems escalate their bounds round after round, so most of
+/// their passes are replayed rather than computed.  Every scheduling
+/// priority × refinement policy × clique-growth setting must still match the
+/// frozen reference, and enough cases must escalate at least twice for the
+/// comparison to cover replays of replayed passes.
+#[test]
+fn escalating_problems_are_identical_across_configurations() {
+    let cost = SonicCostModel::default();
+    let shapes = [
+        GraphShape::Layered,
+        GraphShape::Wide,
+        GraphShape::Deep,
+        GraphShape::Diamond,
+    ];
+    let mut state = 0x5eed_u64;
+    let mut scratch = AllocScratch::new();
+    let mut cases = 0usize;
+    let mut escalating_twice = 0usize;
+    for priority in [SchedulePriority::CriticalPath, SchedulePriority::InputOrder] {
+        for refinement in [
+            RefinementPolicy::BoundCriticalPath,
+            RefinementPolicy::FirstRefinable,
+        ] {
+            for grow_cliques in [true, false] {
+                for _ in 0..3 {
+                    let ops = 12 + draw(&mut state, 29) as usize;
+                    let shape = shapes[draw(&mut state, 4) as usize];
+                    let seed = draw(&mut state, 10_000);
+                    let slack = draw(&mut state, 4) as u32;
+                    let merging = draw(&mut state, 2) == 1;
+                    let graph =
+                        TgffGenerator::new(TgffConfig::with_ops(ops).shape(shape), seed).generate();
+                    let config = AllocConfig::new(lambda_min(&graph, &cost) + slack)
+                        .with_priority(priority)
+                        .with_refinement(refinement)
+                        .with_clique_growth(grow_cliques)
+                        .with_instance_merging(merging);
+                    let optimized = DpAllocator::new(&cost, config.clone())
+                        .allocate_with_scratch(&graph, &mut scratch);
+                    let frozen = reference::allocate_with_stats(&cost, &config, &graph);
+                    assert_eq!(
+                        optimized, frozen,
+                        "{ops} ops, {shape:?}, seed {seed}, slack {slack}, {priority:?}, \
+                         {refinement:?}, grow {grow_cliques}, merging {merging}"
+                    );
+                    cases += 1;
+                    if optimized.is_ok_and(|o| o.bound_escalations >= 2) {
+                        escalating_twice += 1;
+                    }
+                }
+            }
+        }
+    }
+    assert!(
+        escalating_twice * 2 >= cases,
+        "only {escalating_twice} of {cases} cases escalated twice or more"
+    );
+}
+
+/// Replayed passes count against the per-round iteration budget: an
+/// escalating job under small budgets fails (or succeeds) exactly where the
+/// reference does, with the same `IterationBudgetExceeded` error.  Each
+/// budget that fails is checked to fail after an escalation — the first
+/// round alone (user bounds of one unit per class) fits in it — so the
+/// failing round replays passes of the round before.
+#[test]
+fn iteration_budgets_hold_across_replayed_passes() {
+    let cost = SonicCostModel::default();
+    let graph =
+        TgffGenerator::new(TgffConfig::with_ops(24).shape(GraphShape::Layered), 1).generate();
+    let one_each: std::collections::BTreeMap<_, _> = mwl_model::ResourceClass::ALL
+        .iter()
+        .map(|&class| (class, 1))
+        .collect();
+    let mut scratch = AllocScratch::new();
+    let (mut exceeded, mut solved) = (0usize, 0usize);
+    for budget in [3, 5, 8, 12, 17, 23, 29, 40, 60] {
+        let mut config = AllocConfig::new(lambda_min(&graph, &cost));
+        config.max_iterations = budget;
+        let optimized =
+            DpAllocator::new(&cost, config.clone()).allocate_with_scratch(&graph, &mut scratch);
+        let frozen = reference::allocate_with_stats(&cost, &config, &graph);
+        assert_eq!(optimized, frozen, "budget {budget}");
+        match optimized {
+            Err(AllocError::IterationBudgetExceeded { budget: b }) => {
+                assert_eq!(b, budget);
+                let first_round =
+                    DpAllocator::new(&cost, config.clone().with_resource_bounds(one_each.clone()))
+                        .allocate_with_scratch(&graph, &mut scratch);
+                assert!(
+                    matches!(
+                        first_round,
+                        Err(AllocError::InfeasibleResourceBounds { .. })
+                    ),
+                    "budget {budget}: the first round already fails with {first_round:?}"
+                );
+                exceeded += 1;
+            }
+            Ok(outcome) => {
+                assert!(outcome.bound_escalations >= 3);
+                solved += 1;
+            }
+            Err(e) => panic!("budget {budget}: unexpected error {e}"),
+        }
+    }
+    assert!(
+        exceeded >= 5 && solved > 0,
+        "{exceeded} exceeded, {solved} solved"
+    );
 }

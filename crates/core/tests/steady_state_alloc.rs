@@ -5,7 +5,9 @@
 //! performs exactly the same (output-only) allocations — the kernels
 //! themselves (`attach_schedule`, `max_chain_into`, `is_chain`, the mask
 //! primitives, dense admits) run allocation-free on warm buffers, and the
-//! list scheduler allocates only the schedule it returns.
+//! list scheduler allocates only the schedule it returns.  That holds for
+//! jobs that escalate their resource bounds too: the escalation replay log
+//! reuses its capacity.
 //!
 //! Everything lives in one `#[test]` so the global counter is never read
 //! concurrently by a second libtest thread.
@@ -19,7 +21,7 @@ use mwl_sched::{
     asap, DenseSchedulingSetBound, ListScheduler, ResourceConstraint, SchedScratch, Schedule,
     SchedulePriority,
 };
-use mwl_tgff::{TgffConfig, TgffGenerator};
+use mwl_tgff::{GraphShape, TgffConfig, TgffGenerator};
 use mwl_wcg::{ChainScratch, WordlengthCompatibilityGraph};
 
 /// Counts every allocation and reallocation; frees are uncounted (releasing
@@ -64,34 +66,52 @@ fn lambda_min(graph: &mwl_model::SequencingGraph, cost: &SonicCostModel) -> u32 
     mwl_sched::critical_path_length(graph, &native)
 }
 
-#[test]
-fn warm_scratch_allocation_count_is_flat_and_kernels_are_allocation_free() {
-    let cost = SonicCostModel::default();
-    let graph = TgffGenerator::new(TgffConfig::with_ops(12), 4242).generate();
-    let config = AllocConfig::new(lambda_min(&graph, &cost) + 2).with_instance_merging(true);
-    let allocator = DpAllocator::new(&cost, config);
+/// Solves `graph` repeatedly through one warm scratch and asserts that every
+/// repeat performs the identical (output-only) allocation count — any growth
+/// means a buffer is being re-materialised per solve instead of reused.
+fn assert_warm_solves_are_flat(
+    graph: &mwl_model::SequencingGraph,
+    allocator: &DpAllocator,
+) -> mwl_core::AllocOutcome {
     let mut scratch = AllocScratch::new();
-
     // Warm-up: saturate every scratch buffer's capacity.
     for _ in 0..3 {
         allocator
-            .allocate_with_scratch(&graph, &mut scratch)
+            .allocate_with_scratch(graph, &mut scratch)
             .expect("job solves");
     }
-
-    // Steady state: repeats of the same job must perform the identical
-    // (output-only) allocation count — any growth means a buffer is being
-    // re-materialised per solve instead of reused.
     let mut deltas = Vec::new();
+    let mut last = None;
     for _ in 0..5 {
         let (delta, outcome) =
-            allocations_during(|| allocator.allocate_with_scratch(&graph, &mut scratch));
-        outcome.expect("job solves");
+            allocations_during(|| allocator.allocate_with_scratch(graph, &mut scratch));
+        last = Some(outcome.expect("job solves"));
         deltas.push(delta);
     }
     assert!(
         deltas.windows(2).all(|w| w[0] == w[1]),
         "steady-state allocation count is not flat: {deltas:?}"
+    );
+    last.expect("five solves ran")
+}
+
+#[test]
+fn warm_scratch_allocation_count_is_flat_and_kernels_are_allocation_free() {
+    let cost = SonicCostModel::default();
+    let graph = TgffGenerator::new(TgffConfig::with_ops(12), 4242).generate();
+    let config = AllocConfig::new(lambda_min(&graph, &cost) + 2).with_instance_merging(true);
+    assert_warm_solves_are_flat(&graph, &DpAllocator::new(&cost, config));
+
+    // A λ_min job escalates its bounds round after round: the escalation
+    // replay log keeps its capacity in the scratch like every other buffer.
+    let escalating =
+        TgffGenerator::new(TgffConfig::with_ops(24).shape(GraphShape::Layered), 1).generate();
+    let config = AllocConfig::new(lambda_min(&escalating, &cost));
+    let outcome = assert_warm_solves_are_flat(&escalating, &DpAllocator::new(&cost, config));
+    assert!(
+        outcome.bound_escalations >= 3,
+        "the escalating job escalated only {} times",
+        outcome.bound_escalations
     );
 
     // Kernel-level budget: on warm buffers the compatibility and admission

@@ -14,6 +14,7 @@
 //!   share their usage equally between those members, and each member
 //!   contributes its peak usage to the type total.
 
+use std::cell::Cell;
 use std::collections::BTreeMap;
 
 use mwl_model::{Cycles, OpId, ResourceClass};
@@ -352,6 +353,55 @@ impl ResourceConstraint for SchedulingSetBound {
     }
 }
 
+/// The smallest Eqn (3) total that [`DenseSchedulingSetBound`] rejected
+/// against each class's bound since its last
+/// [`reset_loads`](DenseSchedulingSetBound::reset_loads).
+///
+/// A record certifies a schedule for *raised* bounds: every admitted call
+/// stays admitted when a bound grows, and every rejected call stays rejected
+/// exactly when its total still exceeds the new bound.  If
+/// [`still_rejected_under`](Self::still_rejected_under) holds, the list
+/// scheduler therefore sees the same answer to every query and repeats its
+/// schedule decision for decision.  Rejections of operations with an empty
+/// member row do not depend on the bound and are not recorded.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct BoundRejections {
+    /// Least rejected total per class; `INFINITY` when nothing was rejected.
+    least: [f64; ResourceClass::COUNT],
+}
+
+impl Default for BoundRejections {
+    fn default() -> Self {
+        BoundRejections {
+            least: [f64::INFINITY; ResourceClass::COUNT],
+        }
+    }
+}
+
+impl BoundRejections {
+    /// Returns `true` if every recorded rejection is still a rejection under
+    /// `bounds` — the same `total > bound + ε` comparison
+    /// [`admits`](ResourceConstraint::admits) makes (`None` = unbounded,
+    /// which rejects nothing).
+    #[must_use]
+    pub fn still_rejected_under(&self, bounds: &[Option<usize>; ResourceClass::COUNT]) -> bool {
+        self.least
+            .iter()
+            .zip(bounds)
+            .all(|(&least, bound)| match bound {
+                Some(bound) => least > *bound as f64 + EPSILON,
+                None => least == f64::INFINITY,
+            })
+    }
+
+    fn record(&mut self, class: ResourceClass, total: f64) {
+        let least = &mut self.least[class.index()];
+        if total < *least {
+            *least = total;
+        }
+    }
+}
+
 /// The scratch-reusing dense form of [`SchedulingSetBound`], built for the
 /// allocator's inner loop.
 ///
@@ -372,7 +422,10 @@ impl ResourceConstraint for SchedulingSetBound {
 ///   [`SchedulingSetBound`] is preserved exactly);
 /// * [`reset_loads`](Self::reset_loads) clears the committed load profiles
 ///   without releasing their allocations, so repeated schedules are
-///   allocation-free after warm-up.
+///   allocation-free after warm-up;
+/// * every bound rejection is recorded in a [`BoundRejections`]
+///   ([`rejections`](Self::rejections)), which tells the allocator whether
+///   the same schedule would come out under raised bounds.
 ///
 /// Pass `&mut bound` to [`crate::ListScheduler::schedule`] (mutable
 /// references forward the [`ResourceConstraint`] impl) so the buffers stay
@@ -404,6 +457,9 @@ pub struct DenseSchedulingSetBound {
     load: Vec<Vec<f64>>,
     /// Per-member peak load so far.
     peak: Vec<f64>,
+    /// Bound rejections since the last reset (a `Cell`, because
+    /// [`admits`](ResourceConstraint::admits) takes `&self`).
+    rejections: Cell<BoundRejections>,
 }
 
 impl DenseSchedulingSetBound {
@@ -473,8 +529,8 @@ impl DenseSchedulingSetBound {
         }
     }
 
-    /// Clears all committed load and peaks, keeping every buffer allocation —
-    /// call before each schedule.
+    /// Clears all committed load, peaks and recorded rejections, keeping
+    /// every buffer allocation — call before each schedule.
     pub fn reset_loads(&mut self) {
         for profile in &mut self.load {
             profile.clear();
@@ -482,6 +538,14 @@ impl DenseSchedulingSetBound {
         for peak in &mut self.peak {
             *peak = 0.0;
         }
+        self.rejections.set(BoundRejections::default());
+    }
+
+    /// The bound rejections of the queries since the last
+    /// [`reset_loads`](Self::reset_loads).
+    #[must_use]
+    pub fn rejections(&self) -> BoundRejections {
+        self.rejections.get()
     }
 
     #[inline]
@@ -522,7 +586,13 @@ impl ResourceConstraint for DenseSchedulingSetBound {
             };
             total += value;
         }
-        total <= bound as f64 + EPSILON
+        if total <= bound as f64 + EPSILON {
+            return true;
+        }
+        let mut rejections = self.rejections.get();
+        rejections.record(class, total);
+        self.rejections.set(rejections);
+        false
     }
 
     fn commit(&mut self, op: OpId, step: Cycles, latency: Cycles) {
@@ -790,7 +860,7 @@ mod tests {
     }
 
     /// `reset_loads` restores a fresh dense constraint (buffers reused, not
-    /// state).
+    /// state), recorded rejections included.
     #[test]
     fn dense_bound_reset_clears_committed_load() {
         let op_classes = vec![ResourceClass::Multiplier, ResourceClass::Multiplier];
@@ -801,11 +871,79 @@ mod tests {
         assert!(dense.admits(id(0), 0, 3));
         dense.commit(id(0), 0, 3);
         assert!(!dense.admits(id(1), 1, 3));
+        assert_ne!(dense.rejections(), BoundRejections::default());
         dense.reset_loads();
+        assert_eq!(dense.rejections(), BoundRejections::default());
         assert!(dense.admits(id(1), 1, 3));
         // A mutable reference forwards the constraint unchanged.
         let via_ref: &mut DenseSchedulingSetBound = &mut dense;
         assert!(via_ref.admits(id(1), 1, 3));
+    }
+
+    /// The least rejected total recorded for a class, if any.
+    fn least(dense: &DenseSchedulingSetBound, class: ResourceClass) -> Option<f64> {
+        Some(dense.rejections().least[class.index()]).filter(|t| t.is_finite())
+    }
+
+    /// A bound rejection records its Eqn (3) total, the least one is kept,
+    /// and admitted queries record nothing.
+    #[test]
+    fn dense_bound_records_the_least_rejected_total() {
+        // Bound 1; ops 0 and 1 use member 0 only, op 2 either member.
+        let op_classes = vec![ResourceClass::Multiplier; 3];
+        let member_classes = vec![ResourceClass::Multiplier, ResourceClass::Multiplier];
+        let op_members = vec![vec![0], vec![0], vec![0, 1]];
+        let bounds = BTreeMap::from([(ResourceClass::Multiplier, 1)]);
+        let mut dense = dense_twin(&op_classes, &op_members, &member_classes, &bounds);
+        let mul = ResourceClass::Multiplier;
+        assert!(dense.admits(id(0), 0, 3));
+        dense.commit(id(0), 0, 3);
+        assert_eq!(least(&dense, mul), None);
+
+        assert!(!dense.admits(id(1), 1, 2)); // 2.0 + 0.0
+        assert_eq!(least(&dense, mul), Some(2.0));
+        assert!(!dense.admits(id(2), 5, 1)); // 1.0 + 0.5: the new least
+        assert_eq!(least(&dense, mul), Some(1.5));
+        assert!(!dense.admits(id(2), 0, 1)); // 1.5 + 0.5: the least stays
+        assert_eq!(least(&dense, mul), Some(1.5));
+        assert!(dense.admits(id(1), 3, 1)); // admitted: no record
+        assert_eq!(least(&dense, mul), Some(1.5));
+        assert_eq!(least(&dense, ResourceClass::Adder), None);
+    }
+
+    /// A record certifies raised bounds only while every recorded total
+    /// still exceeds the new bound by more than ε — the comparison `admits`
+    /// makes, so a total equal to `bound + ε` (admitted) does not certify.
+    #[test]
+    fn rejections_certify_only_bounds_they_still_exceed() {
+        let mul = ResourceClass::Multiplier.index();
+        let add = ResourceClass::Adder.index();
+        let with_bounds = |adder: Option<usize>, multiplier: Option<usize>| {
+            let mut bounds = [None; ResourceClass::COUNT];
+            bounds[add] = adder;
+            bounds[mul] = multiplier;
+            bounds
+        };
+
+        let nothing = BoundRejections::default();
+        assert!(nothing.still_rejected_under(&with_bounds(Some(1), Some(1))));
+        assert!(nothing.still_rejected_under(&with_bounds(None, None)));
+
+        let mut record = BoundRejections::default();
+        record.record(ResourceClass::Multiplier, 3.0);
+        assert!(record.still_rejected_under(&with_bounds(Some(1), Some(2))));
+        assert!(record.still_rejected_under(&with_bounds(Some(9), Some(2))));
+        assert!(!record.still_rejected_under(&with_bounds(Some(1), Some(3))));
+        assert!(!record.still_rejected_under(&with_bounds(Some(1), None)));
+
+        let bound = 3usize;
+        let at_limit = bound as f64 + EPSILON;
+        let mut boundary = BoundRejections::default();
+        boundary.record(ResourceClass::Multiplier, at_limit);
+        assert!(!boundary.still_rejected_under(&with_bounds(None, Some(bound))));
+        let mut above = BoundRejections::default();
+        above.record(ResourceClass::Multiplier, at_limit.next_up());
+        assert!(above.still_rejected_under(&with_bounds(None, Some(bound))));
     }
 
     #[test]
@@ -814,8 +952,13 @@ mod tests {
         let member_classes = vec![ResourceClass::Adder];
         let op_members = vec![vec![]];
         let bounds = BTreeMap::from([(ResourceClass::Adder, 4)]);
+        let dense = dense_twin(&op_classes, &op_members, &member_classes, &bounds);
         let c = SchedulingSetBound::new(op_classes, op_members, member_classes, bounds);
         assert!(!c.admits(id(0), 0, 2));
         assert!(!c.admissible_at_all(id(0), 2));
+        // The rejection does not depend on the bound, so it certifies
+        // nothing and the dense form does not record it.
+        assert!(!dense.admits(id(0), 0, 2));
+        assert_eq!(dense.rejections(), BoundRejections::default());
     }
 }

@@ -59,8 +59,8 @@ mod schedule;
 mod timing;
 
 pub use constraint::{
-    DenseSchedulingSetBound, PerClassBound, PerInstanceExclusive, ResourceConstraint,
-    SchedulingSetBound, Unbounded,
+    BoundRejections, DenseSchedulingSetBound, PerClassBound, PerInstanceExclusive,
+    ResourceConstraint, SchedulingSetBound, Unbounded,
 };
 pub use cover::{minimum_cover, scheduling_set, scheduling_set_with_scratch, CoverScratch};
 pub use error::SchedError;
