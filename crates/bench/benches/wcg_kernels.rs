@@ -41,8 +41,9 @@ fn bench_kernels(c: &mut Criterion) {
             });
         }
 
-        // The per-round covering query: longest chain per resource over
-        // the uncovered set, on warm scratch.
+        // The covering query: longest chain per resource over the
+        // uncovered set, on warm scratch (BindSelect now runs it once per
+        // round, for the winning resource).
         let mut uncovered = vec![0u64; wcg.op_mask_words()];
         for i in 0..ops {
             uncovered[i / 64] |= 1 << (i % 64);
@@ -59,6 +60,23 @@ fn bench_kernels(c: &mut Criterion) {
                 total
             })
         });
+
+        // The per-round ranking query: the greedy maximum-chain length of
+        // every resource over the uncovered set (an end-rank mask; with
+        // nothing covered it has the same bits as the op-index mask).
+        if ops == 128 {
+            group.bench_with_input(
+                BenchmarkId::new("max_chain_length", &label),
+                &(),
+                |b, ()| {
+                    b.iter(|| {
+                        (0..wcg.resources().len())
+                            .map(|r| wcg.max_chain_length(r, &uncovered))
+                            .sum::<usize>()
+                    })
+                },
+            );
+        }
 
         // The clique-growth feasibility probe: is the whole op set one
         // chain?

@@ -95,7 +95,6 @@ pub(crate) fn bind_select_with_scratch(
     let BindScratch {
         chain_len,
         chain,
-        chain_buf,
         best_chain,
         clique_ops,
         clique_res,
@@ -103,6 +102,7 @@ pub(crate) fn bind_select_with_scratch(
         new_mask,
         union_mask,
         uncovered_mask,
+        uncovered_ends,
         clique_count: clique_slot,
     } = scratch;
     // Chain length per resource from an earlier round of this call
@@ -113,11 +113,15 @@ pub(crate) fn bind_select_with_scratch(
     chain_len.resize(wcg.resources().len(), usize::MAX);
     union_mask.clear();
     union_mask.resize(words, 0);
+    // The uncovered operations twice over: by operation index (the chain
+    // DP and the pre-skip count) and by end rank (the chain-length scan).
+    // Both start as the first `n` bits.
     uncovered_mask.clear();
     uncovered_mask.resize(words, 0);
     for i in 0..n {
         uncovered_mask[i / 64] |= 1u64 << (i % 64);
     }
+    uncovered_ends.clone_from(uncovered_mask);
     let mut remaining = n;
     // Selected cliques live in the pooled parallel arrays `clique_ops` /
     // `clique_res` / `clique_masks` (one `words`-sized chunk per clique);
@@ -126,8 +130,11 @@ pub(crate) fn bind_select_with_scratch(
     let mut clique_count = 0usize;
 
     while remaining > 0 {
-        // Find, per resource type, a maximum clique of uncovered operations
-        // and keep the one with the best |p_r| / cost(r) ratio.
+        // Rank every resource type by the length of its maximum clique of
+        // uncovered operations and keep the one with the best |p_r| / cost(r)
+        // ratio.  The key reads only the length, which the greedy
+        // chain-length scan gives exactly; the chain DP then runs once, for
+        // the winner.
         let mut best: Option<usize> = None;
         let mut best_key = (0.0f64, 0usize, u64::MAX);
         for (r, known_len) in chain_len.iter_mut().enumerate() {
@@ -135,7 +142,7 @@ pub(crate) fn bind_select_with_scratch(
             // length both bound its chain's length, so a resource whose
             // bound/area ratio already falls short of the incumbent (beyond
             // the tie tolerance) cannot win — skip it without running the
-            // chain DP.  A zero count means an empty chain.
+            // chain scan.  A zero count means an empty chain.
             let count = wcg.mask_candidate_count(uncovered_mask, r);
             if count == 0 {
                 continue;
@@ -145,10 +152,10 @@ pub(crate) fn bind_select_with_scratch(
             if best.is_some() && (bound as f64 / area as f64) < best_key.0 - f64::EPSILON {
                 continue;
             }
-            wcg.max_chain_into(r, uncovered_mask, chain, chain_buf);
-            *known_len = chain_buf.len();
-            let ratio = chain_buf.len() as f64 / area as f64;
-            let key = (ratio, chain_buf.len(), u64::MAX - area);
+            let length = wcg.max_chain_length(r, uncovered_ends);
+            *known_len = length;
+            let ratio = length as f64 / area as f64;
+            let key = (ratio, length, u64::MAX - area);
             let better = match &best {
                 None => true,
                 Some(_) => {
@@ -160,7 +167,6 @@ pub(crate) fn bind_select_with_scratch(
             if better {
                 best_key = key;
                 best = Some(r);
-                std::mem::swap(best_chain, chain_buf);
             }
         }
 
@@ -173,13 +179,16 @@ pub(crate) fn bind_select_with_scratch(
             return Err(AllocError::UncoverableOperation(op));
         };
 
+        wcg.max_chain_into(resource, uncovered_mask, chain, best_chain);
         for &op in best_chain.iter() {
             uncovered_mask[op.index() / 64] &= !(1u64 << (op.index() % 64));
+            let e = wcg.end_rank(op);
+            uncovered_ends[e / 64] &= !(1u64 << (e % 64));
         }
         remaining -= best_chain.len();
-        // The new clique grows in `best_chain` itself (the next selection
-        // round overwrites it via the swap above); its operation bitset
-        // lives in `new_mask`.
+        // The new clique grows in `best_chain` itself (the next round's
+        // chain DP overwrites it); its operation bitset lives in
+        // `new_mask`.
         new_mask.clear();
         new_mask.resize(words, 0);
         for &op in best_chain.iter() {

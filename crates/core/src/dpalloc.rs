@@ -419,12 +419,16 @@ impl<'a> DpAllocator<'a> {
             }
             scratch.constraint.reset_loads();
 
-            let schedule = match ListScheduler::new(self.config.priority).schedule_with_scratch(
+            let scheduled = ListScheduler::new(self.config.priority).schedule_with_scratch(
                 graph,
                 &scratch.upper,
                 &mut scratch.constraint,
                 &mut scratch.sched,
-            ) {
+            );
+            // Stopped before the outcome is inspected, so a pass that fails
+            // to schedule still credits its time to `schedule`.
+            scratch.obs.stop(Stage::Schedule, sched_timer);
+            let schedule = match scheduled {
                 Ok(s) => s,
                 Err(SchedError::InfeasibleResourceBound { op }) => {
                     return Err(InnerFailure::NeedMoreResources(
@@ -433,7 +437,6 @@ impl<'a> DpAllocator<'a> {
                 }
                 Err(e) => return Err(InnerFailure::Fatal(e.into())),
             };
-            scratch.obs.stop(Stage::Schedule, sched_timer);
 
             let bind_timer = scratch.obs.start();
             scratch.wcg.attach_schedule(&schedule, &scratch.upper);
@@ -470,6 +473,7 @@ impl<'a> DpAllocator<'a> {
                 RefinementPolicy::BoundCriticalPath => select_refinement_op_with_scratch(
                     graph,
                     &scratch.wcg,
+                    scratch.wcg.start_order(),
                     &schedule,
                     &scratch.upper,
                     &scratch.bound,
@@ -500,6 +504,7 @@ impl<'a> DpAllocator<'a> {
                     // bounds.
                     let class = most_contended_class(graph, &scratch.bound, bounds, |_| true)
                         .unwrap_or(ResourceClass::Adder);
+                    scratch.obs.stop(Stage::Refine, refine_timer);
                     return Err(InnerFailure::NeedMoreResources(class));
                 }
             }
@@ -805,6 +810,40 @@ mod tests {
             Ok(outcome),
             crate::reference::allocate_with_stats(&c, &config, &g)
         );
+    }
+
+    /// Every list-scheduling call of the fixed escalating job emits one
+    /// `schedule` span, failing calls included, and every pass that ends a
+    /// round without a refinement still emits its `refine` span: the
+    /// terminal passes of escalation rounds are attributed, not lost.
+    #[test]
+    fn trace_attributes_every_pass_of_an_escalating_job() {
+        let c = cost();
+        let config = TgffConfig::with_ops(32).shape(mwl_tgff::GraphShape::Layered);
+        let g = TgffGenerator::new(config, 1).generate();
+        let mut scratch = AllocScratch::new();
+        scratch.obs.set_mode(mwl_obs::ObsMode::Trace);
+        let outcome = DpAllocator::new(&c, AllocConfig::new(lambda_min(&g)))
+            .allocate_with_scratch(&g, &mut scratch)
+            .unwrap();
+        let events = scratch.obs.drain_events();
+        let spans = |stage: Stage| events.iter().filter(|e| e.name == stage.name()).count();
+        // Every round ends in exactly one pass that does not refine (it
+        // fails to schedule, finds nothing to refine, or is feasible), and
+        // every other computed pass refines.
+        let rounds = outcome.bound_escalations + 1;
+        let computed = outcome.refinements - scratch.replay.replayed;
+        let schedule_calls = computed + rounds;
+        assert_eq!(spans(Stage::Schedule), schedule_calls);
+        let failed_schedules = schedule_calls - spans(Stage::Bind);
+        assert!(
+            failed_schedules > 0,
+            "the job must exercise a failing list-scheduling call"
+        );
+        // One replay span per round, one span per refining pass, and one per
+        // round that ended with nothing left to refine.
+        let nothing_to_refine = outcome.bound_escalations - failed_schedules;
+        assert_eq!(spans(Stage::Refine), rounds + computed + nothing_to_refine);
     }
 
     #[test]

@@ -15,19 +15,22 @@ use mwl_model::{Cycles, OpId, SequencingGraph};
 use mwl_sched::{OpLatencies, Schedule};
 use mwl_wcg::WordlengthCompatibilityGraph;
 
-/// Reusable buffers of the refinement rule: the augmented adjacency of the
-/// bound critical path, its topological-order queue and ASAP/ALAP tables,
-/// and the candidate lists of the selection rule.  One lives in each
-/// [`crate::AllocScratch`], so the once-per-iteration refinement selection
-/// is allocation-free in the steady state.
+/// Reusable buffers of the refinement rule: the bound operations grouped by
+/// instance, each operation's binding successors, the ASAP/ALAP tables of the
+/// bound critical path, and the candidate lists of the selection rule.  One
+/// lives in each [`crate::AllocScratch`], so the once-per-iteration
+/// refinement selection is allocation-free in the steady state.
 #[derive(Debug, Default)]
 pub(crate) struct RefineScratch {
-    /// Bound operations sorted by `(instance, start, id)`.
+    /// Counting-sort offsets: instance `k`'s group is
+    /// `by_instance[group_start[k]..group_start[k + 1]]`.
+    group_start: Vec<u32>,
+    /// Bound operations grouped by instance, each group in ascending start
+    /// order.
     by_instance: Vec<u32>,
-    succ: Vec<Vec<u32>>,
-    pred: Vec<Vec<u32>>,
-    indegree: Vec<u32>,
-    order: Vec<u32>,
+    /// Binding successors of each operation, as a range of `by_instance` —
+    /// the per-pass CSR of the `S_b` edges.
+    binding_succ: Vec<(u32, u32)>,
     asap: Vec<Cycles>,
     alap_end: Vec<Cycles>,
     critical: Vec<OpId>,
@@ -44,7 +47,17 @@ pub(crate) struct RefineScratch {
 /// under the bound latencies `ℓ(o)` — i.e. the operations whose latency
 /// directly determines the achieved overall latency.
 ///
-/// `binding[i]` is the resource-instance index of operation `i`.
+/// `binding[i]` is the resource-instance index of operation `i`
+/// (`usize::MAX`: unbound).  The schedule must respect the graph under
+/// latencies of at least one cycle and every bound latency must be at least
+/// one cycle, as every allocator schedule and binding does: then both edge
+/// kinds strictly increase the start time (see
+/// [`bound_critical_path_into`]).
+///
+/// # Panics
+///
+/// Panics if a sequencing edge does not strictly increase the start time or
+/// a bound latency is zero.
 #[must_use]
 pub fn bound_critical_path(
     graph: &SequencingGraph,
@@ -53,129 +66,205 @@ pub fn bound_critical_path(
     binding: &[usize],
 ) -> Vec<OpId> {
     let mut scratch = RefineScratch::default();
-    bound_critical_path_into(graph, schedule, bound_latencies, binding, &mut scratch);
+    bound_critical_path_into(
+        graph,
+        &checked_start_order(graph, schedule, bound_latencies),
+        schedule,
+        bound_latencies,
+        &dense_instances(binding),
+        &mut scratch,
+    );
     scratch.critical
+}
+
+/// Every operation in ascending start order — a topological order of the
+/// augmented graph under the precondition of [`bound_critical_path`], which
+/// is checked here for the public entry points (the allocator, whose
+/// schedules and bindings meet it by construction, reads the same order off
+/// its compatibility graph and checks it in debug builds only).
+fn checked_start_order(
+    graph: &SequencingGraph,
+    schedule: &Schedule,
+    bound_latencies: &OpLatencies,
+) -> Vec<OpId> {
+    assert!(
+        graph
+            .edges()
+            .iter()
+            .all(|e| schedule.start(e.from) < schedule.start(e.to)),
+        "every sequencing edge must strictly increase the start time"
+    );
+    assert!(
+        graph.op_ids().all(|o| bound_latencies.get(o) >= 1),
+        "bound latencies must be at least one cycle"
+    );
+    let mut order: Vec<OpId> = graph.op_ids().collect();
+    order.sort_unstable_by_key(|&o| (schedule.start(o), o));
+    order
+}
+
+/// Renumbers the instance indices of a caller-supplied binding densely
+/// (keeping their order and `usize::MAX` for unbound operations), so the
+/// counting sort's table is sized by the number of instances, not by the
+/// largest index.
+fn dense_instances(binding: &[usize]) -> Vec<usize> {
+    let mut ids: Vec<usize> = binding
+        .iter()
+        .copied()
+        .filter(|&b| b != usize::MAX)
+        .collect();
+    ids.sort_unstable();
+    ids.dedup();
+    binding
+        .iter()
+        .map(|&b| match ids.binary_search(&b) {
+            Ok(k) => k,
+            Err(_) => usize::MAX,
+        })
+        .collect()
 }
 
 /// Scratch-reusing core of [`bound_critical_path`]: the result lands in
 /// `scratch.critical`.
+///
+/// `order` lists every operation in ascending start time.  That is a
+/// topological order of the augmented graph: a sequencing edge `(u, v)` has
+/// `start(v) ≥ start(u) + L_u > start(u)` because the schedule respects the
+/// graph under latencies of at least one cycle, and a binding edge `(i, j)`
+/// has `start(j) = start(i) + ℓ(i) > start(i)` because `ℓ(i) ≥ 1`.  ASAP
+/// times are pushed forward and ALAP times pulled back along
+/// `graph.successors()` plus the binding successors; the fixpoints do not
+/// depend on which topological order is used, and an edge present in both
+/// sets does not change a max or a min.
+///
+/// The bound operations are grouped by instance with a counting sort over
+/// `order`, so every group is in ascending start order, and operation `i`'s
+/// binding successors — the members of its group starting exactly at
+/// `start(i) + ℓ(i)` — are one contiguous run found by binary search (for a
+/// `BindSelect` binding, at most the next member).  The counting sort's table
+/// is sized by the largest instance index, so `binding` must number its
+/// instances densely: the allocator's clique indices do, and the public entry
+/// points renumber theirs.
 fn bound_critical_path_into(
     graph: &SequencingGraph,
+    order: &[OpId],
     schedule: &Schedule,
     bound_latencies: &OpLatencies,
     binding: &[usize],
     scratch: &mut RefineScratch,
 ) {
     let n = graph.len();
-    // Augmented successor lists.
-    scratch.succ.truncate(n);
-    scratch.pred.truncate(n);
-    if scratch.succ.len() < n {
-        scratch.succ.resize_with(n, Vec::new);
-        scratch.pred.resize_with(n, Vec::new);
-    }
-    for row in &mut scratch.succ {
-        row.clear();
-    }
-    for row in &mut scratch.pred {
-        row.clear();
-    }
-    for e in graph.edges() {
-        scratch.succ[e.from.index()].push(e.to.index() as u32);
-        scratch.pred[e.to.index()].push(e.from.index() as u32);
-    }
-    // Binding edges: within one instance, the operations starting exactly
-    // when `i`'s bound latency ends form a contiguous run of the
-    // start-sorted group, found by binary search.  A `BindSelect` binding
-    // keeps one instance's intervals disjoint, so the run is at most the
-    // next operation.
     let start = |i: u32| schedule.start(OpId::new(i));
-    scratch.by_instance.clear();
-    scratch
-        .by_instance
-        .extend((0..n as u32).filter(|&i| binding[i as usize] != usize::MAX));
-    scratch
-        .by_instance
-        .sort_unstable_by_key(|&i| (binding[i as usize], start(i), i));
-    let mut lo = 0;
-    while lo < scratch.by_instance.len() {
-        let instance = binding[scratch.by_instance[lo] as usize];
-        let len = scratch.by_instance[lo..].partition_point(|&i| binding[i as usize] == instance);
-        let group = &scratch.by_instance[lo..lo + len];
-        for &i in group {
-            let ready = start(i) + bound_latencies.get(OpId::new(i));
-            let first = group.partition_point(|&j| start(j) < ready);
-            for &j in group[first..].iter().take_while(|&&j| start(j) == ready) {
-                if i != j && !scratch.succ[i as usize].contains(&j) {
-                    scratch.succ[i as usize].push(j);
-                    scratch.pred[j as usize].push(i);
-                }
-            }
+    let latency = |i: u32| bound_latencies.get(OpId::new(i));
+    debug_assert!(
+        order.len() == n
+            && order
+                .windows(2)
+                .all(|w| schedule.start(w[0]) <= schedule.start(w[1])),
+        "the order must list every operation by ascending start"
+    );
+    debug_assert!(
+        graph
+            .edges()
+            .iter()
+            .all(|e| schedule.start(e.from) < schedule.start(e.to)),
+        "every sequencing edge must strictly increase the start time"
+    );
+    debug_assert!(
+        (0..n as u32).all(|i| latency(i) >= 1),
+        "bound latencies must be at least one cycle"
+    );
+    let RefineScratch {
+        group_start,
+        by_instance,
+        binding_succ,
+        asap,
+        alap_end,
+        critical,
+        ..
+    } = scratch;
+
+    // Counting sort of the bound operations by instance, stable over the
+    // start order: count into slot `k + 2`, prefix-sum, then scatter through
+    // slot `k + 1`, which leaves group `k` at `group_start[k]..[k + 1]`.
+    let instances = binding
+        .iter()
+        .filter(|&&k| k != usize::MAX)
+        .max()
+        .map_or(0, |&k| k + 1);
+    group_start.clear();
+    group_start.resize(instances + 2, 0);
+    for &k in binding.iter().filter(|&&k| k != usize::MAX) {
+        group_start[k + 2] += 1;
+    }
+    for k in 2..group_start.len() {
+        group_start[k] += group_start[k - 1];
+    }
+    by_instance.clear();
+    by_instance.resize(group_start[instances + 1] as usize, 0);
+    for &o in order {
+        let k = binding[o.index()];
+        if k != usize::MAX {
+            by_instance[group_start[k + 1] as usize] = o.index() as u32;
+            group_start[k + 1] += 1;
         }
-        lo += len;
     }
 
-    // Topological order of the augmented DAG (it is acyclic: both edge kinds
-    // only point forward in schedule time).
-    scratch.indegree.clear();
-    scratch
-        .indegree
-        .extend(scratch.pred.iter().take(n).map(|p| p.len() as u32));
-    scratch.order.clear();
-    scratch
-        .order
-        .extend((0..n as u32).filter(|&i| scratch.indegree[i as usize] == 0));
-    let mut head = 0;
-    while head < scratch.order.len() {
-        let v = scratch.order[head] as usize;
-        head += 1;
-        for k in 0..scratch.succ[v].len() {
-            let s = scratch.succ[v][k] as usize;
-            scratch.indegree[s] -= 1;
-            if scratch.indegree[s] == 0 {
-                scratch.order.push(s as u32);
-            }
+    binding_succ.clear();
+    binding_succ.resize(n, (0, 0));
+    for (i, &k) in binding.iter().enumerate() {
+        if k == usize::MAX {
+            continue;
         }
+        let i = i as u32;
+        let (lo, hi) = (group_start[k] as usize, group_start[k + 1] as usize);
+        let group = &by_instance[lo..hi];
+        let ready = start(i) + latency(i);
+        let first = group.partition_point(|&j| start(j) < ready);
+        let run = group[first..]
+            .iter()
+            .take_while(|&&j| start(j) == ready)
+            .count();
+        binding_succ[i as usize] = ((lo + first) as u32, (lo + first + run) as u32);
     }
-    debug_assert_eq!(scratch.order.len(), n, "augmented graph must stay acyclic");
+    let successors = |v: OpId| {
+        let (lo, hi) = binding_succ[v.index()];
+        graph.successors(v).iter().map(|s| s.index()).chain(
+            by_instance[lo as usize..hi as usize]
+                .iter()
+                .map(|&s| s as usize),
+        )
+    };
 
-    // ASAP on the augmented graph.
-    scratch.asap.clear();
-    scratch.asap.resize(n, 0);
-    for &v in &scratch.order {
-        let v = v as usize;
-        for &p in &scratch.pred[v] {
-            let op_p = OpId::new(p);
-            scratch.asap[v] =
-                scratch.asap[v].max(scratch.asap[p as usize] + bound_latencies.get(op_p));
+    // ASAP on the augmented graph, pushed forward in start order.
+    asap.clear();
+    asap.resize(n, 0);
+    for &v in order {
+        let finish = asap[v.index()] + bound_latencies.get(v);
+        for s in successors(v) {
+            asap[s] = asap[s].max(finish);
         }
     }
-    let deadline = (0..n)
-        .map(|i| scratch.asap[i] + bound_latencies.get(OpId::new(i as u32)))
+    let deadline = (0..n as u32)
+        .map(|i| asap[i as usize] + latency(i))
         .max()
         .unwrap_or(0);
 
-    // ALAP (start times) against that deadline.
-    scratch.alap_end.clear();
-    scratch.alap_end.resize(n, deadline);
-    for &v in scratch.order.iter().rev() {
-        let v = v as usize;
-        for &s in &scratch.succ[v] {
-            let op_s = OpId::new(s);
-            let succ_start = scratch.alap_end[s as usize] - bound_latencies.get(op_s);
-            scratch.alap_end[v] = scratch.alap_end[v].min(succ_start);
-        }
+    // ALAP (end times) against that deadline, pulled back in reverse order.
+    alap_end.clear();
+    alap_end.resize(n, deadline);
+    for &v in order.iter().rev() {
+        let end = successors(v)
+            .map(|s| alap_end[s] - latency(s as u32))
+            .fold(alap_end[v.index()], Cycles::min);
+        alap_end[v.index()] = end;
     }
 
-    scratch.critical.clear();
-    scratch.critical.extend(
-        (0..n)
-            .filter(|&i| {
-                let op = OpId::new(i as u32);
-                let alap_start = scratch.alap_end[i] - bound_latencies.get(op);
-                scratch.asap[i] == alap_start
-            })
-            .map(|i| OpId::new(i as u32)),
+    critical.clear();
+    critical.extend(
+        (0..n as u32)
+            .filter(|&i| asap[i as usize] == alap_end[i as usize] - latency(i))
+            .map(OpId::new),
     );
 }
 
@@ -189,6 +278,13 @@ fn bound_critical_path_into(
 ///   is currently bound to;
 /// * `binding` — instance index per operation;
 /// * `constraint` — the user's overall latency constraint `λ`.
+///
+/// The schedule and binding must meet the precondition of
+/// [`bound_critical_path`].
+///
+/// # Panics
+///
+/// Panics where [`bound_critical_path`] does.
 #[must_use]
 pub fn select_refinement_op(
     graph: &SequencingGraph,
@@ -202,21 +298,25 @@ pub fn select_refinement_op(
     select_refinement_op_with_scratch(
         graph,
         wcg,
+        &checked_start_order(graph, schedule, bound_latencies),
         schedule,
         upper_bounds,
         bound_latencies,
-        binding,
+        &dense_instances(binding),
         constraint,
         &mut RefineScratch::default(),
     )
 }
 
 /// The scratch-reusing form of [`select_refinement_op`] used by the
-/// allocator's inner loop; decisions are identical.
+/// allocator's inner loop; decisions are identical.  `order` lists every
+/// operation by ascending start (the allocator passes its compatibility
+/// graph's [`start_order`](WordlengthCompatibilityGraph::start_order)).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn select_refinement_op_with_scratch(
     graph: &SequencingGraph,
     wcg: &WordlengthCompatibilityGraph,
+    order: &[OpId],
     schedule: &Schedule,
     upper_bounds: &OpLatencies,
     bound_latencies: &OpLatencies,
@@ -224,7 +324,7 @@ pub(crate) fn select_refinement_op_with_scratch(
     constraint: Cycles,
     scratch: &mut RefineScratch,
 ) -> Option<OpId> {
-    bound_critical_path_into(graph, schedule, bound_latencies, binding, scratch);
+    bound_critical_path_into(graph, order, schedule, bound_latencies, binding, scratch);
     let critical = &scratch.critical;
 
     // Candidate subset W: critical operations finishing before the
@@ -524,6 +624,86 @@ mod tests {
             .collect()
     }
 
+    // Default case count (`PROPTEST_CASES` lowers it).
+    proptest! {
+        /// The start-order bound critical path equals the order-free
+        /// relaxation of the pairwise-edge graph on arbitrary bindings — random instances, unbound operations, and
+        /// operations that overlap in time on one instance — with bound
+        /// latencies anywhere from one cycle to the upper bound, through
+        /// both the scratch path (the compatibility graph's start order, one
+        /// warm scratch) and the public entry point (which derives the order
+        /// and renumbers instance indices, here also spread far apart).
+        #[test]
+        fn start_order_critical_path_matches_naive_relaxation(
+            shape in prop_oneof![
+                Just(GraphShape::Layered),
+                Just(GraphShape::Wide),
+                Just(GraphShape::Deep),
+                Just(GraphShape::Diamond),
+            ],
+            ops in 1usize..=130,
+            seed in 0u64..=5000,
+            units in 1usize..=3,
+            instances in 1usize..=12,
+            binding_seed in any::<u64>(),
+        ) {
+            let config = TgffConfig::with_ops(ops).shape(shape);
+            let g = TgffGenerator::new(config, seed).generate();
+            let cost = SonicCostModel::default();
+            let mut wcg = WordlengthCompatibilityGraph::new(&g, &cost);
+            let upper = wcg.upper_bound_latencies();
+            let classes = g
+                .operations()
+                .iter()
+                .map(|o| ResourceClass::for_kind(o.kind()))
+                .collect();
+            let bounds = BTreeMap::from([
+                (ResourceClass::Multiplier, units),
+                (ResourceClass::Adder, units),
+            ]);
+            let schedule = ListScheduler::default()
+                .schedule(&g, &upper, PerClassBound::new(classes, bounds))
+                .expect("positive bounds are feasible");
+            wcg.attach_schedule(&schedule, &upper);
+
+            let mut state = binding_seed;
+            let mut next = || {
+                state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+                let z = (state ^ (state >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                z ^ (z >> 31)
+            };
+            let mut binding = Vec::with_capacity(g.len());
+            let mut bound = upper.clone();
+            for op in g.op_ids() {
+                binding.push(match next() % (instances as u64 + 1) {
+                    0 => usize::MAX,
+                    k => k as usize - 1,
+                });
+                bound.set(op, 1 + (next() % u64::from(upper.get(op))) as u32);
+            }
+            let expected = naive_bound_critical_path(&g, &schedule, &bound, &binding);
+
+            let mut scratch = RefineScratch::default();
+            for _ in 0..2 {
+                bound_critical_path_into(
+                    &g,
+                    wcg.start_order(),
+                    &schedule,
+                    &bound,
+                    &binding,
+                    &mut scratch,
+                );
+                prop_assert_eq!(&scratch.critical, &expected);
+            }
+            prop_assert_eq!(&bound_critical_path(&g, &schedule, &bound, &binding), &expected);
+            let spread: Vec<usize> = binding
+                .iter()
+                .map(|&k| if k == usize::MAX { k } else { k * (usize::MAX / 16) })
+                .collect();
+            prop_assert_eq!(&bound_critical_path(&g, &schedule, &bound, &spread), &expected);
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
@@ -586,5 +766,30 @@ mod tests {
         let schedule = Schedule::from_vec(vec![0]);
         let qb = bound_critical_path(&g, &schedule, &lat, &[0]);
         assert_eq!(qb, vec![x]);
+    }
+
+    #[test]
+    #[should_panic(expected = "bound latencies must be at least one cycle")]
+    fn public_critical_path_rejects_zero_latency() {
+        let mut b = SequencingGraphBuilder::new();
+        b.add_operation(OpShape::adder(8));
+        b.add_operation(OpShape::adder(8));
+        let g = b.build().unwrap();
+        let lat = OpLatencies::from_vec(vec![0, 1]);
+        let schedule = Schedule::from_vec(vec![0, 0]);
+        let _ = bound_critical_path(&g, &schedule, &lat, &[0, 0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "every sequencing edge must strictly increase the start time")]
+    fn public_critical_path_rejects_non_increasing_edge() {
+        let mut b = SequencingGraphBuilder::new();
+        let x = b.add_operation(OpShape::adder(8));
+        let y = b.add_operation(OpShape::adder(8));
+        b.add_dependency(x, y).unwrap();
+        let g = b.build().unwrap();
+        let lat = OpLatencies::uniform(&g, 1);
+        let schedule = Schedule::from_vec(vec![2, 2]);
+        let _ = bound_critical_path(&g, &schedule, &lat, &[0, 1]);
     }
 }

@@ -97,18 +97,16 @@ impl AllocScratch {
     }
 }
 
-/// Reusable buffers of Algorithm `BindSelect`: the per-resource chain
-/// computation, the uncovered-operation mask and the clique-growth bitsets.
+/// Reusable buffers of Algorithm `BindSelect`: the winning resource's chain
+/// computation, the uncovered-operation masks and the clique-growth bitsets.
 #[derive(Debug, Default)]
 pub(crate) struct BindScratch {
     /// Chain length per resource from an earlier covering round of the
     /// current call — the tighter half of the pre-skip bound.
     pub(crate) chain_len: Vec<usize>,
-    /// Longest-chain DP tables shared across resources.
+    /// Longest-chain DP tables, used once per covering round.
     pub(crate) chain: ChainScratch,
-    /// Chain under evaluation for the current resource.
-    pub(crate) chain_buf: Vec<OpId>,
-    /// Best chain of the current covering round.
+    /// Chain of the current covering round's winning resource.
     pub(crate) best_chain: Vec<OpId>,
     /// Operation lists of the selected cliques; slots beyond the active
     /// count keep their capacity across rounds and jobs.
@@ -122,8 +120,11 @@ pub(crate) struct BindScratch {
     /// Union bitset of the clique-growth step.
     pub(crate) union_mask: Vec<u64>,
     /// Bitset of not-yet-covered operations, maintained across covering
-    /// rounds: the chain candidates and the popcount pre-skip.
+    /// rounds: the chain DP's candidates and the popcount pre-skip.
     pub(crate) uncovered_mask: Vec<u64>,
+    /// The same set indexed by end rank under the attached schedule: the
+    /// input of the per-resource chain-length scan.
+    pub(crate) uncovered_ends: Vec<u64>,
     /// Number of active cliques in the pooled arrays after the last
     /// [`crate::bind::bind_select_with_scratch`] run.
     pub(crate) clique_count: usize,

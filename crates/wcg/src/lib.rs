@@ -28,7 +28,9 @@
 //! run as word-parallel AND/popcount loops.  The list-returning helpers
 //! ([`resources_for`](WordlengthCompatibilityGraph::resources_for),
 //! [`ops_for`](WordlengthCompatibilityGraph::ops_for)) are read off the
-//! bits.  The schedule-interval buffer behind the `C` edges is reused across
+//! bits.  Each resource's edge count `|O(r)|` is cached beside the planes
+//! and kept up by every deletion.  The schedule-interval buffer behind the
+//! `C` edges is reused across
 //! [`attach_schedule`](WordlengthCompatibilityGraph::attach_schedule) calls.
 //!
 //! *Pipeline position:* built first from the raw graph, then iteratively
@@ -67,6 +69,25 @@ fn set_bit(words: &mut [u64], bit: usize) {
 #[inline]
 fn clear_bit(words: &mut [u64], bit: usize) {
     words[bit / WORD_BITS] &= !(1 << (bit % WORD_BITS));
+}
+
+/// Transposes a 64×64 bit matrix in place: afterwards bit `r` of `block[c]`
+/// is what bit `c` of `block[r]` was.  Six rounds of masked swaps of ever
+/// smaller sub-blocks (Hacker's Delight, §7-3), in `u64` word operations.
+fn transpose_block(block: &mut [u64; WORD_BITS]) {
+    let mut width = WORD_BITS / 2;
+    let mut mask: u64 = 0x0000_0000_FFFF_FFFF;
+    while width != 0 {
+        let mut k = 0;
+        while k < WORD_BITS {
+            let t = ((block[k] >> width) ^ block[k + width]) & mask;
+            block[k] ^= t << width;
+            block[k + width] ^= t;
+            k = (k + width + 1) & !width;
+        }
+        width /= 2;
+        mask ^= mask << width;
+    }
 }
 
 /// The indices of the set bits of `words`, ascending.
@@ -142,9 +163,9 @@ pub struct ChainScratch {
 /// ```
 //
 // The fields stay private because they are redundant: `resource_cols` is the
-// transpose of `op_rows` and `upper` is derived from `op_rows`.  A graph is
-// only ever built from a sequencing graph and a cost model, which is cheap
-// and canonical.
+// transpose of `op_rows`, and `upper` and `edge_counts` are derived from the
+// planes.  A graph is only ever built from a sequencing graph and a cost
+// model, which is cheap and canonical.
 #[derive(Debug, Clone)]
 pub struct WordlengthCompatibilityGraph {
     /// Candidate resource-wordlength types (the vertex subset `R`).
@@ -173,6 +194,8 @@ pub struct WordlengthCompatibilityGraph {
     /// `H` adjacency per resource (the transpose of `op_rows`): bit `o` of
     /// column `r` is set iff `{o, r}` is present.  Flat, stride `op_words`.
     resource_cols: Vec<u64>,
+    /// `|O(r)|` per resource: the popcount of each `resource_cols` column.
+    edge_counts: Vec<u32>,
     /// Undirected time-compatibility masks (the symmetric closure of the `C`
     /// edges): bit `j` of row `i` is set iff the execution intervals of `i`
     /// and `j` are disjoint.  Flat, stride `op_words`; valid only while a
@@ -188,6 +211,13 @@ pub struct WordlengthCompatibilityGraph {
     start_rank: Vec<u32>,
     /// Position of each operation in `end_order`.
     end_rank: Vec<u32>,
+    /// Schedule-scoped copy of `resource_cols` re-indexed into end-rank
+    /// space: bit `e` of column `r` is set iff `{end_order[e], r} ∈ H`.
+    /// Rebuilt by every attach (like `compat`); a deletion while a schedule
+    /// is attached clears the matching bit.  Flat, stride `op_words`.
+    end_cols: Vec<u64>,
+    /// The attached intervals in `end_order`, indexed by end rank.
+    end_intervals: Vec<(Cycles, Cycles)>,
     /// Running operation mask of the compatibility-row sweeps.
     sweep_mask: Vec<u64>,
     /// Unrefined copy of `upper`, captured by
@@ -197,6 +227,8 @@ pub struct WordlengthCompatibilityGraph {
     pristine_op_rows: Vec<u64>,
     /// Unrefined copy of `resource_cols`.
     pristine_resource_cols: Vec<u64>,
+    /// Unrefined copy of `edge_counts`.
+    pristine_edge_counts: Vec<u32>,
     /// Whether the pristine buffers hold a snapshot of the current problem.
     pristine_valid: bool,
 }
@@ -216,15 +248,19 @@ impl Default for WordlengthCompatibilityGraph {
             op_words: 0,
             op_rows: Vec::new(),
             resource_cols: Vec::new(),
+            edge_counts: Vec::new(),
             compat: Vec::new(),
             start_order: Vec::new(),
             end_order: Vec::new(),
             start_rank: Vec::new(),
             end_rank: Vec::new(),
+            end_cols: Vec::new(),
+            end_intervals: Vec::new(),
             sweep_mask: Vec::new(),
             pristine_upper: Vec::new(),
             pristine_op_rows: Vec::new(),
             pristine_resource_cols: Vec::new(),
+            pristine_edge_counts: Vec::new(),
             pristine_valid: false,
         }
     }
@@ -289,12 +325,15 @@ impl WordlengthCompatibilityGraph {
         self.op_rows.resize(n * self.res_words, 0);
         self.resource_cols.clear();
         self.resource_cols.resize(num_resources * self.op_words, 0);
+        self.edge_counts.clear();
+        self.edge_counts.resize(num_resources, 0);
         for (i, op) in graph.operations().iter().enumerate() {
             let shape = op.shape();
             for j in 0..num_resources {
                 if self.resources[j].covers(shape) {
                     set_bit(&mut self.op_rows[i * self.res_words..], j);
                     set_bit(&mut self.resource_cols[j * self.op_words..], i);
+                    self.edge_counts[j] += 1;
                 }
             }
             self.refresh_upper(i);
@@ -309,12 +348,13 @@ impl WordlengthCompatibilityGraph {
     /// [`restore_pristine`](Self::restore_pristine) can undo every
     /// refinement deletion without re-deriving the graph.  The allocator
     /// snapshots once per job and restores per resource-bound escalation:
-    /// restoring is three flat copies, where a full [`rebuild`](Self::rebuild)
+    /// restoring is four flat copies, where a full [`rebuild`](Self::rebuild)
     /// re-extracts the resource set and re-queries the cost model.
     pub fn snapshot_pristine(&mut self) {
         self.pristine_upper.clone_from(&self.upper);
         self.pristine_op_rows.clone_from(&self.op_rows);
         self.pristine_resource_cols.clone_from(&self.resource_cols);
+        self.pristine_edge_counts.clone_from(&self.edge_counts);
         self.pristine_valid = true;
     }
 
@@ -334,6 +374,7 @@ impl WordlengthCompatibilityGraph {
         self.upper.clone_from(&self.pristine_upper);
         self.op_rows.clone_from(&self.pristine_op_rows);
         self.resource_cols.clone_from(&self.pristine_resource_cols);
+        self.edge_counts.clone_from(&self.pristine_edge_counts);
         self.intervals.clear();
         self.scheduled = false;
     }
@@ -432,16 +473,14 @@ impl WordlengthCompatibilityGraph {
         &self.resource_cols
     }
 
-    /// Number of `H` edges incident to one resource (`|O(r)|`), a popcount
-    /// of its column — the quantity behind the refinement rule's
-    /// deletion-proportion denominator.
+    /// Number of `H` edges incident to one resource (`|O(r)|`) — the
+    /// quantity behind the refinement rule's deletion-proportion
+    /// denominator.  Cached per resource and kept up by every deletion, so
+    /// the query is O(1).
     #[must_use]
     #[inline]
     pub fn resource_edge_count(&self, resource: ResourceIndex) -> usize {
-        self.resource_col(resource)
-            .iter()
-            .map(|w| w.count_ones() as usize)
-            .sum()
+        self.edge_counts[resource] as usize
     }
 
     /// Total number of `H` edges.
@@ -494,10 +533,17 @@ impl WordlengthCompatibilityGraph {
             .unwrap_or(0);
     }
 
-    /// Clears both plane bits of one `H` edge.
+    /// Clears both plane bits of one present `H` edge (and its end-rank bit
+    /// while a schedule is attached) and decrements the resource's edge
+    /// count.
     fn clear_edge_bits(&mut self, op: usize, resource: ResourceIndex) {
         clear_bit(&mut self.op_rows[op * self.res_words..], resource);
         clear_bit(&mut self.resource_cols[resource * self.op_words..], op);
+        self.edge_counts[resource] -= 1;
+        if self.scheduled {
+            let e = self.end_rank[op] as usize;
+            clear_bit(&mut self.end_cols[resource * self.op_words..], e);
+        }
     }
 
     /// Deletes a single `H` edge.  Returns `true` if the edge existed.
@@ -559,8 +605,10 @@ impl WordlengthCompatibilityGraph {
     /// the operations ending by its start (a prefix of the end order) and
     /// the operations starting at or after its end (a suffix of the start
     /// order) — `O(|O|²/64)` word operations instead of `|O|²` interval
-    /// tests.  Every buffer is reused, so repeated attach/detach cycles in
-    /// the allocator loop are allocation-free.
+    /// tests.  The attach also re-indexes every resource's `H` column into
+    /// end-rank space for [`max_chain_length`](Self::max_chain_length).
+    /// Every buffer is reused, so repeated attach/detach cycles in the
+    /// allocator loop are allocation-free.
     pub fn attach_schedule(&mut self, schedule: &Schedule, latencies: &OpLatencies) {
         let n = self.num_ops();
         self.intervals.clear();
@@ -588,7 +636,33 @@ impl WordlengthCompatibilityGraph {
             self.end_rank[e.index()] = rank as u32;
         }
 
+        self.end_intervals.clear();
+        self.end_intervals
+            .extend(self.end_order.iter().map(|o| intervals[o.index()]));
+
+        // The end-rank plane is the transpose of the op rows taken in end
+        // order, built one 64×64 block at a time.
         let words = self.op_words;
+        let num_resources = self.resources.len();
+        self.end_cols.clear();
+        self.end_cols.resize(num_resources * words, 0);
+        let mut block = [0u64; WORD_BITS];
+        for w in 0..words {
+            let ranks = &self.end_order[w * WORD_BITS..n.min((w + 1) * WORD_BITS)];
+            for v in 0..self.res_words {
+                for (row, o) in block.iter_mut().zip(ranks) {
+                    *row = self.op_rows[o.index() * self.res_words + v];
+                }
+                block[ranks.len()..].fill(0);
+                transpose_block(&mut block);
+                let first = v * WORD_BITS;
+                let resources = first..num_resources.min(first + WORD_BITS);
+                for (r, &col) in resources.zip(&block) {
+                    self.end_cols[r * words + w] = col;
+                }
+            }
+        }
+
         self.compat.clear();
         self.compat.resize(n * words, 0);
         // Prefix sweep in start order: row `o` starts as the operations
@@ -633,6 +707,35 @@ impl WordlengthCompatibilityGraph {
     #[must_use]
     pub fn has_schedule(&self) -> bool {
         self.scheduled
+    }
+
+    /// Position of an operation in the attached schedule's end order
+    /// (ascending `(end, start, id)`) — the bit index of the operation in an
+    /// end-rank mask such as the one
+    /// [`max_chain_length`](Self::max_chain_length) takes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no schedule is attached.
+    #[must_use]
+    #[inline]
+    pub fn end_rank(&self, op: OpId) -> usize {
+        let _ = self.intervals("end_rank");
+        self.end_rank[op.index()] as usize
+    }
+
+    /// Every operation in ascending `(start, end, id)` order under the
+    /// attached schedule.  Sequencing edges point forward in this order
+    /// whenever the schedule respects the graph under latencies of at least
+    /// one cycle.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no schedule is attached.
+    #[must_use]
+    pub fn start_order(&self) -> &[OpId] {
+        let _ = self.intervals("start_order");
+        &self.start_order
     }
 
     fn intervals(&self, context: &str) -> &[(Cycles, Cycles)] {
@@ -757,7 +860,7 @@ impl WordlengthCompatibilityGraph {
     /// As [`max_chain`](Self::max_chain), but takes the uncovered operations
     /// as a mask (stride [`op_mask_words`](Self::op_mask_words)) and writes
     /// the chain into a reusable buffer — the allocation-free form
-    /// `BindSelect` runs once per resource per covering round.
+    /// `BindSelect` runs once per covering round, for the winning resource.
     ///
     /// The candidates `O(r) ∧ uncovered` are scattered into start-rank and
     /// end-rank masks, so both orders come out of a bit scan without a sort.
@@ -840,6 +943,44 @@ impl WordlengthCompatibilityGraph {
             chain.push(self.start_order[tail]);
         }
         chain.reverse();
+    }
+
+    /// The exact length of a maximum chain of `O(r) ∧ uncovered`, with the
+    /// uncovered operations given as an **end-rank** mask (bit
+    /// [`end_rank(o)`](Self::end_rank) set iff `o` is uncovered; stride
+    /// [`op_mask_words`](Self::op_mask_words)).
+    ///
+    /// A chain is a set of pairwise-disjoint half-open execution intervals,
+    /// so its maximum size is the activity-selection count: scan the
+    /// candidates by ascending end and take each one that starts no earlier
+    /// than the last taken one ends.  The scan reads the resource's end-rank
+    /// column and the end-ordered intervals sequentially, with no scatter
+    /// and no DP tables, and equals the length of the chain
+    /// [`max_chain_into`](Self::max_chain_into) returns.  `BindSelect` ranks
+    /// every resource by this length and runs the DP only for the round's
+    /// winner.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no schedule is attached.
+    #[must_use]
+    pub fn max_chain_length(&self, resource: ResourceIndex, uncovered: &[u64]) -> usize {
+        let _ = self.intervals("max_chain_length");
+        let col = &self.end_cols[resource * self.op_words..][..self.op_words];
+        let (mut length, mut free_from) = (0, 0);
+        for (w, (&c, &u)) in col.iter().zip(uncovered).enumerate() {
+            let mut bits = c & u;
+            while bits != 0 {
+                let e = w * WORD_BITS + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let (start, end) = self.end_intervals[e];
+                if start >= free_from {
+                    length += 1;
+                    free_from = end;
+                }
+            }
+        }
+        length
     }
 
     /// The cheapest resource (by area, ties to the lower index) able to
@@ -925,6 +1066,25 @@ mod tests {
         let g = b.build().unwrap();
         let wcg = WordlengthCompatibilityGraph::new(&g, &SonicCostModel::default());
         (g, wcg)
+    }
+
+    #[test]
+    fn transpose_block_swaps_rows_and_columns() {
+        let mut state = 0x2545_f491_4f6c_dd1d_u64;
+        let mut block = [0u64; WORD_BITS];
+        for row in &mut block {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            *row = state;
+        }
+        let original = block;
+        transpose_block(&mut block);
+        for (r, &row) in original.iter().enumerate() {
+            for (c, &col) in block.iter().enumerate() {
+                assert_eq!(row >> c & 1, col >> r & 1, "bit ({r}, {c})");
+            }
+        }
     }
 
     #[test]

@@ -4,7 +4,10 @@
 //! chain tests and a quadratic longest-chain DP — across all `GraphShape` ×
 //! `WidthProfile` families, on graphs below and above one 64-bit word of
 //! operations, on tie-heavy hand-built schedules, through refinement, and
-//! regardless of whether the chain scratch is warm or fresh.
+//! regardless of whether the chain scratch is warm or fresh.  The greedy
+//! chain-length scan must give the DP's length as operations are covered
+//! round by round, and the cached edge counts must equal the column
+//! popcounts through deletions, pristine restores and rebuilds.
 //!
 //! The allocator-level identity against the frozen reference lives in
 //! `mwl_core/tests/optimization_identity.rs`.
@@ -233,6 +236,98 @@ fn random_subset(num_ops: usize, state: &mut u64) -> Vec<OpId> {
         .collect()
 }
 
+/// The uncovered operations as an end-rank mask, the form
+/// `max_chain_length` takes.
+fn end_rank_mask(wcg: &WordlengthCompatibilityGraph, covered: &[bool]) -> Vec<u64> {
+    let mut mask = vec![0u64; wcg.op_mask_words()];
+    for (i, _) in covered.iter().enumerate().filter(|(_, &c)| !c) {
+        let e = wcg.end_rank(OpId::new(i as u32));
+        mask[e / 64] |= 1 << (e % 64);
+    }
+    mask
+}
+
+/// `|O(r)|` of every resource counted straight off its column.
+fn column_popcounts(wcg: &WordlengthCompatibilityGraph) -> Vec<usize> {
+    let words = wcg.op_mask_words();
+    (0..wcg.resources().len())
+        .map(|r| {
+            wcg.resource_columns()[r * words..][..words]
+                .iter()
+                .map(|w| w.count_ones() as usize)
+                .sum()
+        })
+        .collect()
+}
+
+fn cached_edge_counts(wcg: &WordlengthCompatibilityGraph) -> Vec<usize> {
+    (0..wcg.resources().len())
+        .map(|r| wcg.resource_edge_count(r))
+        .collect()
+}
+
+/// Covers the operations round by round the way `BindSelect` does — each
+/// round covers the longest naive chain (lowest resource index among equal
+/// lengths) — and checks before every round that `max_chain_length` equals
+/// the naive DP's chain length for every resource.  Every other round also
+/// refines one operation while the schedule stays attached, in both models,
+/// so the end-rank plane must follow deletions.
+fn chain_lengths_match_naive_round_by_round(
+    wcg: &mut WordlengthCompatibilityGraph,
+    naive: &mut Naive,
+    refine_seed: u64,
+) {
+    let n = wcg.num_ops();
+    let mut covered = vec![false; n];
+    let mut state = refine_seed;
+    for round in 0.. {
+        if round % 2 == 1 && n > 0 {
+            let op = OpId::new((splitmix(&mut state) % n as u64) as u32);
+            prop_assert_eq!(wcg.refine_op(op), naive.refine(op));
+        }
+        let uncovered = end_rank_mask(wcg, &covered);
+        let mut longest: Vec<OpId> = Vec::new();
+        for r in 0..wcg.resources().len() {
+            let chain = naive.max_chain(r, &covered);
+            prop_assert_eq!(
+                wcg.max_chain_length(r, &uncovered),
+                chain.len(),
+                "resource {} in round {}",
+                r,
+                round
+            );
+            if chain.len() > longest.len() {
+                longest = chain;
+            }
+        }
+        if longest.is_empty() {
+            break;
+        }
+        for op in longest {
+            covered[op.index()] = true;
+        }
+    }
+    prop_assert!(covered.iter().all(|&c| c), "every operation gets covered");
+}
+
+/// Independent operations of widths 8, 12 and 16 with hand-picked start
+/// times and latencies, attached to both models.
+fn tie_heavy(ops: &[(usize, u32, u32)]) -> (SequencingGraph, WordlengthCompatibilityGraph, Naive) {
+    let mut b = SequencingGraphBuilder::new();
+    for &(width, _, _) in ops {
+        let w = [8, 12, 16][width];
+        b.add_operation(OpShape::multiplier(w, w));
+    }
+    let graph = b.build().expect("independent operations");
+    let schedule = Schedule::from_vec(ops.iter().map(|&(_, start, _)| start).collect());
+    let latencies = OpLatencies::from_vec(ops.iter().map(|&(_, _, lat)| lat).collect());
+    let mut wcg = WordlengthCompatibilityGraph::new(&graph, &SonicCostModel::default());
+    let mut naive = Naive::new(&graph, &wcg);
+    wcg.attach_schedule(&schedule, &latencies);
+    naive.attach(&schedule, &latencies);
+    (graph, wcg, naive)
+}
+
 fn mask_of(ops: &[OpId], words: usize) -> Vec<u64> {
     let mut mask = vec![0u64; words];
     for op in ops {
@@ -362,18 +457,7 @@ proptest! {
         ops in prop::collection::vec((0usize..3, 0u32..5, 1u32..=2), 1..=130),
         covered_seed in any::<u64>(),
     ) {
-        let mut b = SequencingGraphBuilder::new();
-        for &(width, _, _) in &ops {
-            let w = [8, 12, 16][width];
-            b.add_operation(OpShape::multiplier(w, w));
-        }
-        let graph = b.build().expect("independent operations");
-        let schedule = Schedule::from_vec(ops.iter().map(|&(_, start, _)| start).collect());
-        let latencies = OpLatencies::from_vec(ops.iter().map(|&(_, _, lat)| lat).collect());
-        let mut wcg = WordlengthCompatibilityGraph::new(&graph, &SonicCostModel::default());
-        let mut naive = Naive::new(&graph, &wcg);
-        wcg.attach_schedule(&schedule, &latencies);
-        naive.attach(&schedule, &latencies);
+        let (graph, wcg, naive) = tie_heavy(&ops);
 
         for a in graph.op_ids() {
             for b in graph.op_ids().filter(|&b| b != a) {
@@ -443,6 +527,82 @@ proptest! {
         for op in graph.op_ids() {
             prop_assert_eq!(wcg.resources_for(op), naive.resources_for(op));
             prop_assert_eq!(wcg.upper_bound_latency(op), naive.upper(op));
+        }
+    }
+}
+
+// The properties below run at the default case count (`PROPTEST_CASES`
+// lowers it), so a release run at the default samples the tie-heavy
+// schedules the greedy length's exactness argument turns on.
+proptest! {
+    /// The greedy chain length equals the naive DP's chain length for every
+    /// resource as operations are covered round by round, on generated
+    /// graphs below and above one word of operations.
+    #[test]
+    fn greedy_chain_lengths_match_naive_as_ops_are_covered(
+        case in case_strategy(),
+        refine_seed in any::<u64>(),
+    ) {
+        let graph = build(&case);
+        let (mut wcg, mut naive) = scheduled(&graph);
+        chain_lengths_match_naive_round_by_round(&mut wcg, &mut naive, refine_seed);
+    }
+
+    /// The same on tie-heavy schedules (latencies of one or two cycles over
+    /// starts 0–4, up to 130 operations), where many candidates share a
+    /// start, an end or both.
+    #[test]
+    fn greedy_chain_lengths_match_naive_on_tie_heavy_schedules(
+        ops in prop::collection::vec((0usize..3, 0u32..5, 1u32..=2), 1..=130),
+        refine_seed in any::<u64>(),
+    ) {
+        let (_, mut wcg, mut naive) = tie_heavy(&ops);
+        chain_lengths_match_naive_round_by_round(&mut wcg, &mut naive, refine_seed);
+    }
+
+    /// The cached per-resource edge counts equal the column popcounts after
+    /// every step of a random `delete_edge` / `refine_op` sequence (with a
+    /// schedule attached for part of it), after `restore_pristine`, and
+    /// after a `rebuild` that reuses the graph for another problem.
+    #[test]
+    fn edge_counts_match_column_popcounts(
+        case in case_strategy(),
+        other in case_strategy(),
+        edit_seed in any::<u64>(),
+    ) {
+        let graph = build(&case);
+        let cost = SonicCostModel::default();
+        let mut wcg = WordlengthCompatibilityGraph::new(&graph, &cost);
+        let mut state = edit_seed;
+        for (round, g) in [&graph, &build(&other)].into_iter().enumerate() {
+            if round > 0 {
+                wcg.rebuild(g, &cost);
+            }
+            prop_assert_eq!(cached_edge_counts(&wcg), column_popcounts(&wcg));
+            wcg.snapshot_pristine();
+            let pristine = cached_edge_counts(&wcg);
+            let n = g.len();
+            let upper = wcg.upper_bound_latencies();
+            for step in 0..3 * n {
+                if step == n {
+                    wcg.attach_schedule(&asap(g, &upper), &upper);
+                }
+                let op = OpId::new((splitmix(&mut state) % n as u64) as u32);
+                if splitmix(&mut state).is_multiple_of(2) {
+                    // Delete one edge, never an operation's last one.
+                    let candidates = wcg.resources_for(op);
+                    if candidates.len() > 1 {
+                        let r = candidates[(splitmix(&mut state) % candidates.len() as u64) as usize];
+                        prop_assert!(wcg.delete_edge(op, r));
+                    }
+                } else {
+                    wcg.refine_op(op);
+                }
+                prop_assert_eq!(cached_edge_counts(&wcg), column_popcounts(&wcg));
+            }
+            wcg.restore_pristine();
+            prop_assert_eq!(cached_edge_counts(&wcg), pristine);
+            prop_assert_eq!(cached_edge_counts(&wcg), column_popcounts(&wcg));
         }
     }
 }
